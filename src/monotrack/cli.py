@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ from .dataio import (
     write_mot_file,
 )
 from .exceptions import ConfigError, EstimationError, ParseError
-from .metrics import evaluate_track
+from .metrics import evaluate_track, stack_trials
 from .models import MEASURED_ROWS
 from .pipeline import (
     EVAL_ROWS_3D,
@@ -262,38 +264,44 @@ def _read_estimates_csv(
     path: Path,
 ) -> tuple[str, list[tuple[int, int, np.ndarray, np.ndarray]]]:
     """Read back an estimates CSV: space tag and (trial, k, mean, cov) rows."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines:
-        raise ParseError(1, "empty estimates file")
-    header = lines[0].split(",")
-    mean_cols = [i for i, name in enumerate(header) if name.startswith("mean_")]
-    cov_cols = [i for i, name in enumerate(header) if name.startswith("cov_")]
-    n = len(mean_cols)
-    if n == 0 or len(cov_cols) != n * (n + 1) // 2:
-        raise ParseError(1, f"unrecognized estimates header: {lines[0]}")
-    space_col = header.index("space")
-    k_col = header.index("k")
-    trial_col = header.index("trial") if "trial" in header else None
-    rows = []
+    keys = []
+    values = array("d")
     space = ""
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ParseError(lineno, f"expected {len(header)} fields, got {len(fields)}")
-        try:
-            trial = int(fields[trial_col]) if trial_col is not None else 0
-            k = int(fields[k_col])
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = (text for text in map(str.strip, handle) if text)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(1, "empty estimates file")
+        header = first.split(",")
+        mean_cols = [i for i, name in enumerate(header) if name.startswith("mean_")]
+        cov_cols = [i for i, name in enumerate(header) if name.startswith("cov_")]
+        n = len(mean_cols)
+        if n == 0 or len(cov_cols) != n * (n + 1) // 2:
+            raise ParseError(1, f"unrecognized estimates header: {first}")
+        space_col = header.index("space")
+        k_col = header.index("k")
+        trial_col = header.index("trial") if "trial" in header else None
+        pick_values = itemgetter(*mean_cols, *cov_cols)
+        for lineno, line in enumerate(lines, start=2):
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ParseError(
+                    lineno, f"expected {len(header)} fields, got {len(fields)}"
+                )
+            try:
+                trial = int(fields[trial_col]) if trial_col is not None else 0
+                keys.append((trial, int(fields[k_col])))
+                values.extend(map(float, pick_values(fields)))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
             space = fields[space_col]
-            mean = np.array([float(fields[i]) for i in mean_cols])
-            cov = np.zeros((n, n))
-            it = iter(cov_cols)
-            for i in range(n):
-                for j in range(i, n):
-                    cov[i, j] = cov[j, i] = float(fields[next(it)])
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-        rows.append((trial, k, mean, cov))
+    table = np.frombuffer(values, dtype=float).reshape(len(keys), n + len(cov_cols))
+    means = table[:, :n]
+    covs = np.zeros((len(keys), n, n))
+    upper = np.triu_indices(n)
+    covs[:, upper[0], upper[1]] = table[:, n:]
+    covs[:, upper[1], upper[0]] = table[:, n:]
+    rows = [(trial, k, means[r], covs[r]) for r, (trial, k) in enumerate(keys)]
     return space, rows
 
 
@@ -317,11 +325,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         picked = None
     else:
         raise ConfigError(f"estimates file has unknown space {space!r}")
-    if picked is not None:
-        rows = [
-            (trial, k, mean[picked], cov[np.ix_(picked, picked)])
-            for trial, k, mean, cov in rows
-        ]
 
     if space == "3d":
         cam = cfg.camera()
@@ -334,22 +337,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         truth = np.stack([box.as_vector() for box in track.annotations])
 
-    # Group by frame across trials; a frame counts only when every trial
-    # recorded it, matching how a run scores its own trials.
-    trials = sorted({trial for trial, _, _, _ in rows})
-    by_frame: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+    # Stack per trial; a frame counts only when every trial recorded it,
+    # matching how a run scores its own trials.
+    by_trial: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for trial, k, mean, cov in rows:
-        by_frame.setdefault(k, {})[trial] = (mean, cov)
-    means: list[np.ndarray | None] = []
-    covs: list[np.ndarray | None] = []
-    for k in track.frames:
-        cell = by_frame.get(k)
-        if cell is None or len(cell) != len(trials):
-            means.append(None)
-            covs.append(None)
-        else:
-            means.append(np.stack([cell[t][0] for t in trials]))
-            covs.append(np.stack([cell[t][1] for t in trials]))
+        by_trial.setdefault(trial, []).append((k, mean, cov))
+    trials = []
+    for _, group in sorted(by_trial.items()):
+        means = np.array([mean for _, mean, _ in group])
+        covs = np.array([cov for _, _, cov in group])
+        if picked is not None:
+            means = means[:, picked]
+            covs = covs[:, picked][:, :, picked]
+        trials.append(([k for k, _, _ in group], means, covs))
+    means, covs = stack_trials(track.frames, trials)
     rmse_series, anees_series = evaluate_track(truth, means, covs, track.frames, space)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"{estimates_path.stem}_metrics.csv"

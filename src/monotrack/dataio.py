@@ -133,8 +133,30 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def format_float(value: float) -> str:
-    """Shortest decimal that parses back to the same float."""
-    return np.format_float_positional(float(value), unique=True, trim="-")
+    """Shortest positional decimal that parses back to the same float.
+
+    ``repr`` already gives the shortest round-trip digits; only its
+    exponent forms (magnitudes below 1e-4 or from 1e16 on) and inf/nan
+    go through numpy's positional formatter, which gives the same digits.
+    """
+    value = float(value)
+    text = repr(value)
+    if "e" in text or "n" in text:
+        return np.format_float_positional(value, unique=True, trim="-")
+    return text[:-2] if text.endswith(".0") else text
+
+
+def format_floats(values: Sequence[float]) -> str:
+    """``format_float`` of each value, joined by commas.
+
+    Formats the row with one ``repr`` join: while no field takes an
+    exponent form, a field's ".0" ending is the only difference from
+    ``format_float``.
+    """
+    line = ",".join(map(repr, values))
+    if "e" in line or "n" in line:
+        return ",".join(map(format_float, values))
+    return (line + ",").replace(".0,", ",")[:-1]
 
 
 def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:

@@ -39,6 +39,10 @@ class SingularInnovation(EstimationError):
     """The innovation covariance is numerically singular."""
 
 
+class InvalidEstimate(EstimationError, ValueError):
+    """A Gaussian estimate has non-finite entries or an invalid covariance."""
+
+
 class SingularCovariance(EstimationError):
     """A reported covariance cannot be factorized for a solve."""
 

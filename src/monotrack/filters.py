@@ -38,6 +38,7 @@ from .exceptions import (
     DecompositionFailure,
     DimensionMismatch,
     FunctionDomainError,
+    InvalidEstimate,
     NonPositiveHeight,
     SingularInnovation,
 )
@@ -67,9 +68,12 @@ _EIG_RTOL = 1e-9
 class GaussianEstimate:
     """A Gaussian state belief at one frame.
 
-    Construction validates that the covariance is square, symmetric to
-    1e-9 relative and has no eigenvalue below -1e-9 times its trace, so
-    anything a filter emits is safe to factorize or serialize.
+    Construction validates that the entries are finite and that the
+    covariance is square, symmetric to 1e-9 relative and has no
+    eigenvalue below -1e-9 times its trace, so anything a filter emits is
+    safe to factorize or serialize.  A failed check raises
+    ``InvalidEstimate`` (a ``ValueError``), or ``DimensionMismatch`` for
+    a shape error.
     """
 
     mean: np.ndarray
@@ -82,19 +86,30 @@ class GaussianEstimate:
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        n = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (n, n):
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"mean {mean.shape} does not match covariance {cov.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("estimate has non-finite entries")
-        scale = np.abs(cov).max()
-        if np.abs(cov - cov.T).max() > _SYM_RTOL * max(scale, 1e-300):
-            raise ValueError("covariance is not symmetric")
-        trace = np.trace(cov)
-        if np.linalg.eigvalsh(cov).min() < -_EIG_RTOL * max(trace, 0.0):
-            raise ValueError("covariance is not positive semidefinite")
+        # Each check tries an exact sufficient condition first and runs
+        # the full test only when that fails: a finite sum has finite
+        # terms, an exactly symmetric matrix passes the tolerance, and a
+        # matrix that Cholesky factorizes has no eigenvalue below the
+        # bound (both read the same lower triangle).
+        if not math.isfinite(mean.sum() + cov.sum()):
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise InvalidEstimate("estimate has non-finite entries")
+        if not (cov == cov.T).all():
+            scale = np.abs(cov).max()
+            if np.abs(cov - cov.T).max() > _SYM_RTOL * max(scale, 1e-300):
+                raise InvalidEstimate("covariance is not symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            trace = np.trace(cov)
+            if np.linalg.eigvalsh(cov).min() < -_EIG_RTOL * max(trace, 0.0):
+                raise InvalidEstimate(
+                    "covariance is not positive semidefinite"
+                ) from None
 
     @property
     def dim(self) -> int:
@@ -318,6 +333,8 @@ def bot_init(
     """First estimate of the heuristic baseline from one bounding box."""
     params = params or BoTParams()
     z0 = np.asarray(z0, dtype=float)
+    if not z0[3] > 0:
+        raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")
     mean = measurement_matrix().T @ z0
     # Same extent-proportional pattern as the running noise, widened by
     # 2 on positions and 10 on rates.

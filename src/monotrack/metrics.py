@@ -16,44 +16,68 @@ Covariances enter through a factorized solve, never an explicit inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, FrameMisalignment, SingularCovariance
 
 
-def rmse(truth: np.ndarray, means: np.ndarray) -> float:
-    """Root-mean-square error of M estimate means against one truth."""
+def rmse(truth: np.ndarray, means: np.ndarray) -> float | np.ndarray:
+    """Root-mean-square error of M estimate means against one truth.
+
+    With a (K, n) truth and (K, M, n) means it scores K frames at once
+    and returns their K values, each reduced in the same order as a
+    single-frame call.
+    """
     truth = np.asarray(truth, dtype=float)
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    if means.shape[1] != truth.shape[0]:
+    means = np.asarray(means, dtype=float)
+    if means.ndim == truth.ndim:
+        means = means[..., None, :]
+    if means.ndim != truth.ndim + 1 or (
+        means.shape[:-2] + means.shape[-1:] != truth.shape
+    ):
         raise DimensionMismatch(
-            f"means {means.shape} do not match truth ({truth.shape[0]},)"
+            f"means {means.shape} do not match truth {truth.shape}"
         )
-    errors = means - truth
-    return float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
+    errors = means - truth[..., None, :]
+    values = np.sqrt(np.mean(np.sum(errors * errors, axis=-1), axis=-1))
+    return float(values) if truth.ndim == 1 else values
 
 
-def anees(truth: np.ndarray, means: np.ndarray, covs: np.ndarray) -> float:
-    """Average normalized estimation error squared of M (mean, cov) pairs."""
+def anees(
+    truth: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> float | np.ndarray:
+    """Average normalized estimation error squared of M (mean, cov) pairs.
+
+    Like ``rmse``, a (K, n) truth with (K, M, n) means and (K, M, n, n)
+    covariances gives the K per-frame values.
+    """
     truth = np.asarray(truth, dtype=float)
-    means = np.atleast_2d(np.asarray(means, dtype=float))
+    means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    if covs.ndim == 2:
-        covs = covs[None, :, :]
-    n = truth.shape[0]
-    m = means.shape[0]
-    if means.shape != (m, n) or covs.shape != (m, n, n):
+    if means.ndim == truth.ndim:
+        means = means[..., None, :]
+    if covs.ndim == truth.ndim + 1:
+        covs = covs[..., None, :, :]
+    lead = truth.shape[:-1]
+    n = truth.shape[-1]
+    m = means.shape[-2] if means.ndim == truth.ndim + 1 else -1
+    if means.shape != (*lead, m, n) or covs.shape != (*lead, m, n, n):
         raise DimensionMismatch(
             f"means {means.shape} / covariances {covs.shape} do not match "
-            f"truth ({n},)"
+            f"truth {truth.shape}"
         )
-    errors = means - truth
+    errors = means - truth[..., None, :]
     try:
-        solved = np.linalg.solve(covs, errors[:, :, None])[:, :, 0]
+        solved = np.linalg.solve(covs, errors[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("a reported covariance is singular") from exc
-    return float(np.sum(errors * solved) / (m * n))
+    # One sum over each frame's M n products, as a whole-array sum of a
+    # single frame would take it.
+    products = (errors * solved).reshape(*lead, m * n)
+    values = np.sum(products, axis=-1) / (m * n)
+    return float(values) if truth.ndim == 1 else values
 
 
 @dataclass(frozen=True)
@@ -85,11 +109,48 @@ class EvalSeries:
         return float(np.median(self.values))
 
 
+def stack_trials(
+    frames: Sequence[int],
+    trials: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
+) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
+    """Per-frame (M, n) means and (M, n, n) covariances across M trials.
+
+    Each trial gives the frames it covers with its (L, n) means and
+    (L, n, n) covariances in the same order; a frame listed twice keeps
+    its last row.  A frame gets an entry only when every trial covers
+    it, keeping the trial count constant over the evaluated frames;
+    other frames get None.  The result is the input of
+    ``evaluate_track``.
+    """
+    rows = [
+        {frame: row for row, frame in enumerate(trial_frames)}
+        for trial_frames, _, _ in trials
+    ]
+    kept = [
+        k for k, frame in enumerate(frames) if rows and all(frame in r for r in rows)
+    ]
+    means: list[np.ndarray | None] = [None] * len(frames)
+    covs: list[np.ndarray | None] = [None] * len(frames)
+    if not kept:
+        return means, covs
+    picks = [[r[frames[k]] for k in kept] for r in rows]
+    stacked_means = np.stack(
+        [np.asarray(m)[pick] for (_, m, _), pick in zip(trials, picks)], axis=1
+    )
+    stacked_covs = np.stack(
+        [np.asarray(c)[pick] for (_, _, c), pick in zip(trials, picks)], axis=1
+    )
+    for j, k in enumerate(kept):
+        means[k] = stacked_means[j]
+        covs[k] = stacked_covs[j]
+    return means, covs
+
+
 def evaluate_track(
     truths: np.ndarray,
-    estimate_means: list[np.ndarray | None],
-    estimate_covs: list[np.ndarray | None],
-    frames: list[int] | None = None,
+    estimate_means: Sequence[np.ndarray | None],
+    estimate_covs: Sequence[np.ndarray | None],
+    frames: Sequence[int] | None = None,
     space: str = "bb",
 ) -> tuple[EvalSeries, EvalSeries]:
     """Per-frame RMSE and ANEES series over a track.
@@ -97,7 +158,9 @@ def evaluate_track(
     ``truths`` is (K, n); the estimate lists hold, per frame, the (M, n)
     means and (M, n, n) covariances over trials, or None where no trial
     produced an estimate.  Frames without estimates are excluded from
-    both series and counted in ``n_skipped``.
+    both series and counted in ``n_skipped``.  The kept frames must share
+    one trial count M; they are scored with one stacked ``rmse`` and one
+    stacked ``anees`` call.
     """
     k = len(truths)
     if len(estimate_means) != k or len(estimate_covs) != k:
@@ -109,19 +172,28 @@ def evaluate_track(
         frames = list(range(k))
     elif len(frames) != k:
         raise FrameMisalignment(f"{k} truth frames but {len(frames)} frame labels")
-    kept_frames: list[int] = []
-    rmse_values: list[float] = []
-    anees_values: list[float] = []
+    kept = [
+        i
+        for i in range(k)
+        if estimate_means[i] is not None and estimate_covs[i] is not None
+    ]
+    kept_frames = tuple(frames[i] for i in kept)
+    rmse_values = anees_values = np.empty(0)
     n_trials = 0
-    for truth, means, covs, frame in zip(truths, estimate_means, estimate_covs, frames):
-        if means is None or covs is None:
-            continue
-        kept_frames.append(frame)
-        rmse_values.append(rmse(truth, means))
-        anees_values.append(anees(truth, means, covs))
-        n_trials = max(n_trials, np.atleast_2d(means).shape[0])
-    skipped = k - len(kept_frames)
+    if kept:
+        truth = np.asarray(truths, dtype=float)[kept]
+        try:
+            means = np.stack([np.asarray(estimate_means[i], dtype=float) for i in kept])
+            covs = np.stack([np.asarray(estimate_covs[i], dtype=float) for i in kept])
+        except ValueError as exc:
+            raise DimensionMismatch(
+                f"estimates differ in shape across frames: {exc}"
+            ) from exc
+        rmse_values = rmse(truth, means)
+        anees_values = anees(truth, means, covs)
+        n_trials = means.shape[1] if means.ndim == 3 else 1
+    skipped = k - len(kept)
     return (
-        EvalSeries(tuple(kept_frames), np.array(rmse_values), space, n_trials, skipped),
-        EvalSeries(tuple(kept_frames), np.array(anees_values), space, n_trials, skipped),
+        EvalSeries(kept_frames, rmse_values, space, n_trials, skipped),
+        EvalSeries(kept_frames, anees_values, space, n_trials, skipped),
     )

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .dataio import TrackSequence, format_float, semi_annotate_3d
+from .dataio import TrackSequence, format_float, format_floats, semi_annotate_3d
 from .exceptions import (
     ConfigError,
     DecompositionFailure,
     FunctionDomainError,
+    InvalidEstimate,
     SingularInnovation,
 )
 from .filters import (
@@ -45,7 +46,7 @@ from .filters import (
     ukf_predict,
     ukf_update,
 )
-from .metrics import EvalSeries, evaluate_track
+from .metrics import EvalSeries, evaluate_track, stack_trials
 from .models import (
     BoTParams,
     ModelSet2D,
@@ -69,7 +70,12 @@ STATE_NAMES = {
 EVAL_ROWS_3D = (0, 2, 4, 6, 7)
 
 # Filter errors that end a track instead of crashing the run.
-_TRACK_STOPPERS = (FunctionDomainError, DecompositionFailure, SingularInnovation)
+_TRACK_STOPPERS = (
+    FunctionDomainError,
+    DecompositionFailure,
+    SingularInnovation,
+    InvalidEstimate,
+)
 
 
 @dataclass(frozen=True)
@@ -220,33 +226,21 @@ class TrackResult:
     n_failures: int
 
 
-def _stack_series(
-    track: TrackSequence,
-    runs: list[FilterRun],
-    pick,
-) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
-    """Per-frame (M, n) means and (M, n, n) covariances across trials.
+def _trial_arrays(
+    run: FilterRun, space: str, rows: list[int] | None = None
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """One trial's frames with its stacked means and covariances.
 
-    A frame contributes only when every trial produced an estimate there,
-    keeping the trial count constant over the evaluated frames.
+    ``space`` picks the box estimates (``bb``) or the native ones; ``rows``
+    keeps only those state components.
     """
-    by_trial = []
-    for run in runs:
-        table = {
-            frame: pick(run, idx) for idx, frame in enumerate(run.frames)
-        }
-        by_trial.append(table)
-    means: list[np.ndarray | None] = []
-    covs: list[np.ndarray | None] = []
-    for frame in track.frames:
-        if all(frame in table for table in by_trial):
-            pairs = [table[frame] for table in by_trial]
-            means.append(np.stack([p[0] for p in pairs]))
-            covs.append(np.stack([p[1] for p in pairs]))
-        else:
-            means.append(None)
-            covs.append(None)
-    return means, covs
+    estimates = run.boxes if space == SPACE_BB else run.native
+    means = np.array([est.mean for est in estimates])
+    covs = np.array([est.cov for est in estimates])
+    if rows is not None and estimates:
+        means = means[:, rows]
+        covs = covs[:, rows][:, :, rows]
+    return run.frames, means, covs
 
 
 def evaluate_runs(
@@ -258,25 +252,20 @@ def evaluate_runs(
     """Score one filter's trials in box space and, if 3D, camera space."""
     out: dict[str, tuple[EvalSeries, EvalSeries]] = {}
     box_truth = np.stack([box.as_vector() for box in track.annotations])
-    means, covs = _stack_series(
-        track, runs, lambda run, idx: (run.boxes[idx].mean, run.boxes[idx].cov)
+    means, covs = stack_trials(
+        track.frames, [_trial_arrays(run, SPACE_BB) for run in runs]
     )
     out[SPACE_BB] = evaluate_track(box_truth, means, covs, track.frames, SPACE_BB)
     if runs and runs[0].filter_name == "ukf3d":
-        rows = list(EVAL_ROWS_3D)
         truth_3d = np.stack(
             [
                 semi_annotate_3d(box, bundle.cam, guessed_height_m).as_vector()
                 for box in track.annotations
             ]
         )
-        means3, covs3 = _stack_series(
-            track,
-            runs,
-            lambda run, idx: (
-                run.native[idx].mean[rows],
-                run.native[idx].cov[np.ix_(rows, rows)],
-            ),
+        rows = list(EVAL_ROWS_3D)
+        means3, covs3 = stack_trials(
+            track.frames, [_trial_arrays(run, SPACE_3D, rows) for run in runs]
         )
         out[SPACE_3D] = evaluate_track(
             truth_3d, means3, covs3, track.frames, SPACE_3D
@@ -315,17 +304,17 @@ def run_track(
     return TrackResult(track, runs, metrics, n_failures)
 
 
-def _upper_triangle(cov: np.ndarray) -> list[float]:
-    n = cov.shape[0]
-    return [cov[i, j] for i in range(n) for j in range(i, n)]
-
-
 def write_estimates_csv(
     path: Path, track: TrackSequence, runs: list[FilterRun], space: str
 ) -> None:
-    """Per-trial, per-frame means and row-major upper-triangle covariances."""
+    """Per-trial, per-frame means and row-major upper-triangle covariances.
+
+    Rows are formatted and written one trial at a time, so memory stays
+    bounded by the longest trial.
+    """
     names = STATE_NAMES[space]
     n = len(names)
+    upper = np.triu_indices(n)
     header = (
         ["trial", "k", "frame", "space"]
         + [f"mean_{name}" for name in names]
@@ -334,14 +323,15 @@ def write_estimates_csv(
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for trial, run in enumerate(runs):
-            estimates = run.native if space != SPACE_BB else run.boxes
-            for frame, est in zip(run.frames, estimates):
-                fields = [
-                    str(trial), str(frame), str(track.first_frame + frame), space,
-                ]
-                fields += [format_float(v) for v in est.mean]
-                fields += [format_float(v) for v in _upper_triangle(est.cov)]
-                handle.write(",".join(fields) + "\n")
+            if not run.frames:
+                continue
+            frames, means, covs = _trial_arrays(run, space)
+            values = np.concatenate([means, covs[:, upper[0], upper[1]]], axis=1)
+            handle.writelines(
+                f"{trial},{frame},{track.first_frame + frame},{space},"
+                f"{format_floats(row)}\n"
+                for frame, row in zip(frames, values.tolist())
+            )
 
 
 def write_metrics_csv(

@@ -105,6 +105,26 @@ def test_run_partial_failure_exits_two(tmp_path, capsys):
     assert (out / "TINY_id1_summary.csv").is_file()
 
 
+def test_run_invalid_estimate_exits_two(tmp_path, capsys):
+    # Boxes so wide that the baseline's noise overflows: its estimate is
+    # invalid, which stops that filter run instead of raising.
+    rows = []
+    for k in range(4):
+        left, top, width, height = to_top_left(BoundingBox(900.0, 600.0, 1e200, 160.0))
+        rows.append(MotRow(k + 1, 1, left, top, width, height, 1.0, 1, 1.0))
+    write_mot_file(tmp_path / "gt.txt", rows, "annotation")
+    write_mot_file(tmp_path / "det.txt", rows, "detection")
+    out = tmp_path / "results"
+    args = [
+        "run", "--gt", str(tmp_path / "gt.txt"), "--det", str(tmp_path / "det.txt"),
+        "--name", "WIDE", "--out", str(out), "--filter", "bot",
+    ]
+    with np.errstate(over="ignore"):
+        assert main(args) == 2
+    assert "1 filter run(s) stopped early" in capsys.readouterr().err
+    assert (out / "WIDE_id1_summary.csv").is_file()
+
+
 def test_run_rejects_unknown_filter(synthetic_sequence, tmp_path, capsys):
     args = ["run"] + seq_args(synthetic_sequence, tmp_path) + ["--filter", "ekf"]
     assert main(args) == 1

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from monotrack.camera import CameraIntrinsics
 from monotrack.dataio import (
@@ -19,6 +21,7 @@ from monotrack.dataio import (
     detection_rows,
     detections_by_frame,
     format_float,
+    format_floats,
     iou,
     parse_mot_file,
     semi_annotate_3d,
@@ -89,6 +92,36 @@ def test_format_float_is_shortest_round_trip():
         assert float(format_float(value)) == value
     assert format_float(1.0) == "1"
     assert format_float(0.5) == "0.5"
+
+
+def _positional(value: float) -> str:
+    return np.format_float_positional(value, unique=True, trim="-")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e16)
+@example(9999999999999998.0)
+@example(1.7976931348623157e308)
+@example(1e-4)
+@example(9.999999999999999e-05)
+@example(-123.0)
+def test_format_float_matches_numpy_positional(value):
+    assert format_float(value) == _positional(value)
+    assert format_float(np.float64(value)) == _positional(value)
+
+
+@given(st.lists(st.floats(), max_size=12))
+def test_format_floats_joins_format_float(values):
+    assert format_floats(values) == ",".join(_positional(v) for v in values)
+
+
+def test_format_floats_handles_numpy_scalars():
+    values = [np.float64(1.0), np.float64(0.25), -0.0, 1e20]
+    assert format_floats(values) == "1,0.25,-0,100000000000000000000"
 
 
 def test_write_parse_round_trip_is_byte_stable(tmp_path):

@@ -13,12 +13,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotrack.camera import CameraIntrinsics
 from monotrack.exceptions import (
     DecompositionFailure,
     DimensionMismatch,
     FunctionDomainError,
+    InvalidEstimate,
     NonPositiveHeight,
     SingularInnovation,
 )
@@ -74,6 +77,8 @@ def test_estimate_rejects_shape_mismatch():
         GaussianEstimate(np.zeros(3), np.eye(2))
     with pytest.raises(DimensionMismatch):
         GaussianEstimate(np.eye(2), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        GaussianEstimate(np.float64(1.0), np.eye(1))
 
 
 def test_estimate_rejects_nonfinite():
@@ -91,6 +96,115 @@ def test_estimate_rejects_asymmetric():
 def test_estimate_rejects_indefinite():
     with pytest.raises(ValueError):
         GaussianEstimate(np.zeros(2), np.diag([1.0, -1.0]))
+
+
+def _reference_verdict(mean, cov):
+    """The estimate checks as first written: element-wise finiteness,
+    tolerance symmetry and the eigenvalue bound, always all three."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        return "estimate has non-finite entries"
+    scale = np.abs(cov).max()
+    if np.abs(cov - cov.T).max() > 1e-9 * max(scale, 1e-300):
+        return "covariance is not symmetric"
+    if np.linalg.eigvalsh(cov).min() < -1e-9 * max(np.trace(cov), 0.0):
+        return "covariance is not positive semidefinite"
+    return None
+
+
+def _verdicts(mean, cov):
+    """Rejection message (or None) of GaussianEstimate and the reference."""
+    # Sums and traces of entries near the float maximum overflow.
+    with np.errstate(over="ignore"):
+        try:
+            GaussianEstimate(mean, cov)
+            verdict = None
+        except InvalidEstimate as exc:
+            verdict = str(exc)
+        return verdict, _reference_verdict(mean, cov)
+
+
+def _rotated(eigenvalues, seed=0):
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    cov = q @ np.diag(eigenvalues) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+_HUGE = 1.5e308
+VALIDATION_CASES = {
+    "identity": (np.zeros(3), np.eye(3), True),
+    "asymmetric just inside": (
+        np.zeros(2), np.array([[1.0, 0.5], [0.5 + 0.99e-9, 1.0]]), True
+    ),
+    "asymmetric just outside": (
+        np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1.01e-9, 1.0]]), False
+    ),
+    "negative eigenvalue just inside": (
+        np.zeros(2), np.diag([1.0, -0.99e-9]), True
+    ),
+    "negative eigenvalue just outside": (
+        np.zeros(2), np.diag([1.0, -1.01e-9]), False
+    ),
+    "rotated negative eigenvalue just inside": (
+        np.zeros(4), _rotated([3.0, 2.0, 1.0, -0.9e-9 * 6.0]), True
+    ),
+    "rotated negative eigenvalue just outside": (
+        np.zeros(4), _rotated([3.0, 2.0, 1.0, -1.1e-9 * 6.0]), False
+    ),
+    "singular PSD": (np.zeros(2), np.ones((2, 2)), True),
+    "rank-deficient 8x8": (np.zeros(8), _rotated([4, 3, 2, 1, 0, 0, 0, 0]), True),
+    "zero matrix": (np.zeros(3), np.zeros((3, 3)), True),
+    "negative definite": (np.zeros(2), -np.eye(2), False),
+    "nan mean": (np.array([np.nan, 0.0]), np.eye(2), False),
+    "inf mean": (np.array([0.0, -np.inf]), np.eye(2), False),
+    "nan covariance": (np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), False),
+    "inf covariance": (np.zeros(2), np.diag([np.inf, 1.0]), False),
+    "overflowing sum, valid": (
+        np.array([_HUGE, _HUGE]), np.diag([_HUGE, _HUGE]), True
+    ),
+    "overflowing sum, singular PSD": (
+        np.zeros(2), np.array([[_HUGE, _HUGE], [_HUGE, _HUGE]]), True
+    ),
+    "overflowing sum, indefinite": (
+        np.zeros(2), np.diag([_HUGE, -_HUGE]), False
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mean,cov,accepted", VALIDATION_CASES.values(), ids=VALIDATION_CASES.keys()
+)
+def test_estimate_validation_matches_reference(mean, cov, accepted):
+    verdict, reference = _verdicts(mean, cov)
+    assert verdict == reference
+    assert (verdict is None) == accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1.0, 1.0) | st.sampled_from([0.0, -1e-9, -2e-9, 1e-9]),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 2e-9),
+)
+def test_estimate_validation_matches_reference_on_random_spectra(
+    eigenvalues, seed, skew
+):
+    cov = _rotated(np.array(eigenvalues) * 10.0, seed)
+    cov[-1, 0] += skew * np.abs(cov).max()
+    verdict, reference = _verdicts(np.zeros(len(eigenvalues)), cov)
+    assert verdict == reference
+
+
+def test_invalid_estimate_is_an_estimation_value_error():
+    with pytest.raises(InvalidEstimate) as info:
+        GaussianEstimate(np.zeros(2), -np.eye(2))
+    assert isinstance(info.value, ValueError)
 
 
 def test_estimate_tolerates_rounding_scale_negatives():
@@ -329,9 +443,12 @@ def test_bot_init_oracle():
     assert np.count_nonzero(est.cov - np.diag(np.diag(est.cov))) == 0
 
 
-def test_bot_init_zero_box_gives_zero_spread():
-    est = bot_init(np.zeros(4))
-    assert not est.cov.any()
+def test_bot_init_rejects_nonpositive_height():
+    for height in (0.0, -5.0):
+        with pytest.raises(NonPositiveHeight):
+            bot_init(np.array([960.0, 540.0, 100.0, height]))
+    with pytest.raises(NonPositiveHeight):
+        bot_init(np.zeros(4))
 
 
 def test_bot_predict_sources_noise_from_filtered_extents():

@@ -14,7 +14,7 @@ from monotrack.exceptions import (
     FrameMisalignment,
     SingularCovariance,
 )
-from monotrack.metrics import EvalSeries, anees, evaluate_track, rmse
+from monotrack.metrics import EvalSeries, anees, evaluate_track, rmse, stack_trials
 
 
 # -------------------------------------------------------------------- rmse
@@ -164,3 +164,83 @@ def test_evaluate_track_rejects_misalignment():
         evaluate_track(truths, [None], [None])
     with pytest.raises(FrameMisalignment):
         evaluate_track(truths, [None, None], [None, None], frames=[0])
+
+
+def _frame_reference(truth, means, covs):
+    """Per-frame RMSE and ANEES as the single-frame formulas reduce them."""
+    errors = means - truth
+    value_rmse = float(np.sqrt(np.mean(np.sum(errors * errors, axis=1))))
+    solved = np.linalg.solve(covs, errors[:, :, None])[:, :, 0]
+    value_anees = float(np.sum(errors * solved) / errors.size)
+    return value_rmse, value_anees
+
+
+@pytest.mark.parametrize("m", [1, 3, 40])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_evaluate_track_batched_equals_per_frame_bitwise(m, n):
+    rng = np.random.default_rng(100 * m + n)
+    k = 9
+    truths = rng.standard_normal((k, n)) * 50.0
+    means: list = []
+    covs: list = []
+    for truth in truths:
+        a = rng.standard_normal((m, n, n))
+        means.append(truth + rng.standard_normal((m, n)) * 3.0)
+        covs.append(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n))
+    for gap in (0, 4, 5):
+        means[gap] = covs[gap] = None
+    frames = [10 * i for i in range(k)]
+    rmse_series, anees_series = evaluate_track(truths, means, covs, frames)
+    kept = [i for i in range(k) if means[i] is not None]
+    assert rmse_series.frames == tuple(frames[i] for i in kept)
+    assert rmse_series.n_trials == m and rmse_series.n_skipped == 3
+    want = np.array([_frame_reference(truths[i], means[i], covs[i]) for i in kept])
+    assert rmse_series.values.tobytes() == want[:, 0].tobytes()
+    assert anees_series.values.tobytes() == want[:, 1].tobytes()
+    for i, r, a in zip(kept, rmse_series.values, anees_series.values):
+        assert r == rmse(truths[i], means[i])
+        assert a == anees(truths[i], means[i], covs[i])
+
+
+def test_evaluate_track_accepts_single_trial_vectors():
+    truths = np.zeros((2, 2))
+    rmse_series, anees_series = evaluate_track(
+        truths, [np.array([3.0, 4.0])] * 2, [np.eye(2)] * 2
+    )
+    assert np.array_equal(rmse_series.values, [5.0, 5.0])
+    assert np.array_equal(anees_series.values, [12.5, 12.5])
+    assert rmse_series.n_trials == 1
+
+
+def test_evaluate_track_rejects_varying_trial_count():
+    truths = np.zeros((2, 2))
+    means = [np.zeros((1, 2)), np.zeros((2, 2))]
+    covs = [np.eye(2)[None], np.broadcast_to(np.eye(2), (2, 2, 2))]
+    with pytest.raises(DimensionMismatch):
+        evaluate_track(truths, means, covs)
+
+
+def test_batched_metrics_reject_mismatch():
+    with pytest.raises(DimensionMismatch):
+        rmse(np.zeros((3, 2)), np.zeros((2, 1, 2)))
+    with pytest.raises(DimensionMismatch):
+        anees(np.zeros((3, 2)), np.zeros((3, 1, 2)), np.zeros((3, 2, 2, 2)))
+
+
+def test_stack_trials_keeps_frames_every_trial_covers():
+    def trial(frames, offset):
+        means = np.array([[f + offset, 0.0] for f in frames])
+        covs = np.array([np.eye(2) * (f + 1) for f in frames])
+        return frames, means, covs
+
+    # Trial 1 stops after frame 2; trial 0 lists frame 1 twice (last wins).
+    trials = [trial([0, 1, 1, 2, 3], 0.0), trial([0, 1, 2], 0.5)]
+    trials[0][1][1] = -1.0
+    means, covs = stack_trials([0, 1, 2, 3], trials)
+    assert means[3] is None and covs[3] is None
+    assert np.array_equal(means[0], [[0.0, 0.0], [0.5, 0.0]])
+    assert np.array_equal(means[1], [[1.0, 0.0], [1.5, 0.0]])
+    assert np.array_equal(covs[2], [np.eye(2) * 3, np.eye(2) * 3])
+    assert stack_trials([0, 1], []) == ([None, None], [None, None])
+    empty = ([], np.array([]), np.array([]))
+    assert stack_trials([0, 1], [trials[1], empty]) == ([None, None], [None, None])

@@ -24,6 +24,7 @@ from monotrack.pipeline import (
     real_dropout_mask,
     run_filter,
     run_track,
+    write_estimates_csv,
     write_track_outputs,
 )
 from monotrack.sim import SimConfig
@@ -126,6 +127,20 @@ def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
     # The failed filter contributes an empty series, not a crash.
     rmse_series, anees_series = result.metrics[("ukf3d", "bb")]
     assert rmse_series.frames == () and np.isnan(anees_series.median)
+
+
+def test_invalid_estimate_stops_only_that_trial(synthetic_bundle):
+    # A box so wide that the baseline's extent-scaled noise overflows:
+    # the invalid estimate ends the bot run, the other filter carries on.
+    box = BoundingBox(900.0, 600.0, 1e200, 160.0)
+    track = TrackSequence(1, [0, 1, 2], [box] * 3)
+    track.detections = [box] * 3
+    with np.errstate(over="ignore"):
+        result = run_track(track, synthetic_bundle, ("kf2d", "bot"), 1.65)
+    assert result.n_failures == 1
+    assert result.runs["kf2d"][0].failure is None
+    failure = result.runs["bot"][0].failure
+    assert failure == "InvalidEstimate: estimate has non-finite entries"
 
 
 # ---------------------------------------------------------------- run_track
@@ -242,6 +257,48 @@ def test_estimates_csv_round_trips_exactly(
         assert (trial, k) == (exp_trial, exp_frame)
         assert np.array_equal(mean, est.mean)
         assert np.array_equal(cov, est.cov)
+
+
+def test_estimates_csv_round_trips_awkward_values(tmp_path):
+    # Values whose shortest decimal is an exponent form in repr (tiny,
+    # subnormal, >= 1e16), negative zero, and integral values.
+    from monotrack.cli import _read_estimates_csv
+
+    means = [
+        np.array([-0.0, 1e16, 5e-324, 123.0]),
+        np.array([1e-5, -2.5e-300, 0.1, 1.7976931348623157e308]),
+    ]
+    covs = [
+        np.diag([1e16, 5e-324, 1e-5, 2.0]),
+        np.array(
+            [
+                [2.0, 1e-17, 0.0, 0.0],
+                [1e-17, 3.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.5],
+                [0.0, 0.0, 0.5, 1.0],
+            ]
+        ),
+    ]
+    runs = [
+        FilterRun("kf2d", frames=[0, 3], boxes=[
+            GaussianEstimate(m, c, space="bb") for m, c in zip(means, covs)
+        ]),
+        FilterRun("kf2d", failure="stopped"),
+        FilterRun("kf2d", frames=[3], boxes=[GaussianEstimate(means[1], covs[1])]),
+    ]
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0, 3], [box] * 2, first_frame=7)
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, runs, "bb")
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("0,0,7,bb,-0,10000000000000000,0.0000")
+    space, rows = _read_estimates_csv(path)
+    assert space == "bb"
+    expected = [(0, 0, 0), (0, 3, 1), (2, 3, 1)]
+    assert [(trial, k) for trial, k, _, _ in rows] == [e[:2] for e in expected]
+    for (_, _, mean, cov), (_, _, index) in zip(rows, expected):
+        assert mean.tobytes() == means[index].tobytes()
+        assert cov.tobytes() == covs[index].tobytes()
 
 
 def test_outputs_are_deterministic(tmp_path, synthetic_sequence, synthetic_bundle):
