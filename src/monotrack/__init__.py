@@ -8,19 +8,7 @@ machinery to compare the two families for accuracy and covariance
 consistency.
 """
 
-from .camera import (
-    DEPTH_EPSILON,
-    CameraIntrinsics,
-    ExtentPair,
-    ImagePoint,
-    Point3,
-    Velocity3,
-    backproject_point,
-    depth_from_height,
-    project_extent,
-    project_point,
-    project_velocity,
-)
+from .camera import DEPTH_EPSILON, CameraIntrinsics, backproject
 from .dataio import (
     BoundingBox,
     MotRow,

@@ -15,59 +15,23 @@ principal point:
     u = (f / (|px| z)) x + c_u
     v = (f / (|px| z)) y + c_v
 
-Differentiating this map in time gives the image velocity of a moving
-point, and applying it to an axis-aligned segment of length s at depth z
-gives the projected extent s_I = (f / (|px| z)) s together with its rate.
-
-All projections reject depths at or below ``DEPTH_EPSILON`` rather than
-extrapolating through the z = 0 singularity.
+The forward map, with its time derivative for velocities and extent
+rates, is ``models.project_state``; it rejects depths at or below
+``DEPTH_EPSILON``.  The back map is :func:`backproject`: an object of
+known metric height H spanning h pixels sits at depth z = (f / |px|) H / h,
+which fixes the rest of the point along the viewing ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DepthNonPositive, NonPositiveHeight
+from .exceptions import NonPositiveHeight
 
 # Depths at or below this bound (meters) count as "behind the camera".
 DEPTH_EPSILON = 1e-6
-
-
-class Point3(NamedTuple):
-    """Position in the camera frame, meters."""
-
-    x: float
-    y: float
-    z: float
-
-
-class Velocity3(NamedTuple):
-    """Velocity in the camera frame, meters per second."""
-
-    vx: float
-    vy: float
-    vz: float
-
-
-class ImagePoint(NamedTuple):
-    """Pixel position, origin at the top-left corner."""
-
-    u: float
-    v: float
-
-
-class ExtentPair(NamedTuple):
-    """An axis-aligned extent and its time derivative.
-
-    Meters and meters per second in the camera frame, pixels and pixels
-    per second in the image frame.
-    """
-
-    length: float
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -105,63 +69,22 @@ class CameraIntrinsics:
         return cls(focal_length_m, pixel_size_m, (width / 2.0, height / 2.0))
 
 
-def _check_depth(z: float) -> None:
-    if not z > DEPTH_EPSILON:
-        raise DepthNonPositive(f"depth {z} m is at or behind the camera plane")
+def backproject(
+    cam: CameraIntrinsics,
+    offset_u: float | np.ndarray,
+    offset_v: float | np.ndarray,
+    height_px: float | np.ndarray,
+    height_m: float | np.ndarray,
+) -> tuple:
+    """Camera-frame (x, y, z) of a point on an object of known height.
 
-
-def project_point(cam: CameraIntrinsics, point: Point3) -> ImagePoint:
-    """Project a camera-frame point to pixel coordinates."""
-    x, y, z = point
-    _check_depth(z)
-    scale = cam.focal_px / z
-    cu, cv = cam.principal_point_px
-    return ImagePoint(scale * x + cu, scale * y + cv)
-
-
-def project_velocity(
-    cam: CameraIntrinsics, point: Point3, velocity: Velocity3
-) -> np.ndarray:
-    """Image velocity (px/s) of a camera-frame point with the given velocity.
-
-    Time derivative of the projection: the depth rate drags the pixel
-    toward (or away from) the principal point in addition to the lateral
-    motion.
+    Offsets are pixels from the principal point, so that the 3D
+    initializer keeps the rounding of its (u - c_u) - noise.  With
+    s = height_m / height_px the point is (s offset_u, s offset_v,
+    s f/|px|), element-wise for arrays.  Raises ``NonPositiveHeight``
+    unless every ``height_px`` is positive.
     """
-    x, y, z = point
-    vx, vy, vz = velocity
-    _check_depth(z)
-    scale = cam.focal_px / z
-    return np.array([scale * (vx - vz * x / z), scale * (vy - vz * y / z)])
-
-
-def project_extent(
-    cam: CameraIntrinsics, extent: ExtentPair, z: float, vz: float = 0.0
-) -> ExtentPair:
-    """Project an axis-aligned extent and its rate to pixels at depth z."""
-    _check_depth(z)
-    scale = cam.focal_px / z
-    length, rate = extent
-    return ExtentPair(scale * length, scale * (rate - vz * length / z))
-
-
-def depth_from_height(
-    cam: CameraIntrinsics, height_m: float, height_px: float
-) -> float:
-    """Depth at which a segment of known metric height spans height_px pixels."""
-    if not height_m > 0:
-        raise NonPositiveHeight(f"metric height must be positive, got {height_m}")
-    if not height_px > 0:
+    if not np.all(height_px > 0):
         raise NonPositiveHeight(f"pixel height must be positive, got {height_px}")
-    return cam.focal_px * height_m / height_px
-
-
-def backproject_point(
-    cam: CameraIntrinsics, pixel: ImagePoint, depth: float
-) -> Point3:
-    """Camera-frame point at the given depth along a pixel's viewing ray."""
-    _check_depth(depth)
-    u, v = pixel
-    cu, cv = cam.principal_point_px
-    scale = depth / cam.focal_px
-    return Point3(scale * (u - cu), scale * (v - cv), depth)
+    scale = height_m / height_px
+    return scale * offset_u, scale * offset_v, scale * cam.focal_px

@@ -8,8 +8,8 @@ Subcommands:
 * ``evaluate`` - recompute metrics from a previously written estimates CSV.
 * ``inspect``  - summarize the parsed tracks of a sequence.
 
-Exit codes: 0 on success, 2 when some track or trial failed partway
-(partial results are still written), 1 on configuration or IO errors.
+Exit codes: 0 on success, 1 on usage, configuration or IO errors, 2 when
+some track or trial failed partway (partial results are still written).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import argparse
 import os
 import sys
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,18 +28,18 @@ from .config import (
     OUTPUT_DIR_ENV,
     RunConfig,
     apply_config_file,
+    parse_filter_names,
     read_config_file,
     resolve_sequence,
 )
 from .dataio import (
     BoundingBox,
-    MotRow,
     TrackSequence,
     build_tracks,
     attach_detections,
+    detection_rows,
     parse_mot_file,
     semi_annotate_3d,
-    to_top_left,
     write_mot_file,
 )
 from .exceptions import ConfigError, EstimationError, ParseError
@@ -47,15 +47,21 @@ from .metrics import evaluate_track, stack_trials
 from .models import MEASURED_ROWS
 from .pipeline import (
     EVAL_ROWS_3D,
-    FILTER_NAMES,
     ModelBundle,
-    TrackResult,
     real_dropout_mask,
     run_track,
     write_metrics_csv,
     write_track_outputs,
 )
 from .sim import SimConfig, simulate_detections
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ConfigError`` (exit 1); argparse's own exit
+    code 2 would read as a stopped filter run.  Subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +89,7 @@ def _add_sim_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monotrack",
         description="Monocular pedestrian tracking filters and their evaluation.",
     )
@@ -94,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sim_args(run)
     run.add_argument("--filter", help="comma-separated filters (kf2d, bot, ukf3d)")
     run.add_argument("--guessed-height", type=float, help="body height for 3D truth, m")
-    run.add_argument("--workers", type=int, help="worker threads across tracks")
 
     simulate = sub.add_parser("simulate", help="write simulated detection files")
     _add_input_args(simulate)
@@ -154,15 +159,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "dropout", None) is not None:
         cfg.dropout = args.dropout
     if getattr(args, "filter", None):
-        names = tuple(p.strip() for p in args.filter.split(",") if p.strip())
-        for name in names:
-            if name not in FILTER_NAMES:
-                raise ConfigError(f"unknown filter {name!r}")
-        cfg.filters = names
+        cfg.filters = parse_filter_names(args.filter)
     if getattr(args, "guessed_height", None) is not None:
         cfg.guessed_height_m = args.guessed_height
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     return cfg
 
 
@@ -202,20 +201,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     tracks = _load_tracks(cfg)
     bundle = cfg.bundle()
-
-    def job(track: TrackSequence) -> TrackResult:
-        sim_cfg = _sim_config(cfg, track, bundle) if cfg.trials > 0 else None
-        return run_track(track, bundle, cfg.filters, cfg.guessed_height_m, sim_cfg)
-
-    ordered = [tracks[i] for i in sorted(tracks)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(job, ordered))
-    else:
-        results = [job(track) for track in ordered]
-
     n_failures = 0
-    for result in results:
+    for object_id in sorted(tracks):
+        track = tracks[object_id]
+        sim_cfg = _sim_config(cfg, track, bundle) if cfg.trials > 0 else None
+        result = run_track(track, bundle, cfg.filters, cfg.guessed_height_m, sim_cfg)
         write_track_outputs(cfg.output_dir, cfg.seq_name, result)
         n_failures += result.n_failures
         for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
@@ -226,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"frames={len(rmse_series.frames)}/{len(result.track.frames)} "
                 f"trials={rmse_series.n_trials}"
             )
-    print(f"wrote outputs for {len(results)} track(s) to {cfg.output_dir}")
+    print(f"wrote outputs for {len(tracks)} track(s) to {cfg.output_dir}")
     if n_failures:
         print(f"{n_failures} filter run(s) stopped early", file=sys.stderr)
         return 2
@@ -245,14 +235,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         track = tracks[object_id]
         trials = simulate_detections(track, _sim_config(cfg, track, bundle))
         for t, detections in enumerate(trials):
-            rows = []
-            for k, z in zip(track.frames, detections):
-                if z is None:
-                    continue
-                left, top, width, height = to_top_left(BoundingBox(*z))
-                rows.append(
-                    MotRow(track.first_frame + k, -1, left, top, width, height, 1.0)
-                )
+            rows = detection_rows(
+                [
+                    (track.first_frame + k, BoundingBox(*z))
+                    for k, z in zip(track.frames, detections)
+                    if z is not None
+                ]
+            )
             path = cfg.output_dir / f"{cfg.seq_name}_id{object_id}_trial{t:03d}.txt"
             write_mot_file(path, rows, "detection")
             n_files += 1
@@ -385,7 +374,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "run": cmd_run,
         "simulate": cmd_simulate,
@@ -393,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         "inspect": cmd_inspect,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,7 +67,6 @@ _SCHEMA: dict[str, set[str]] = {
         "class_ids",
         "min_visibility",
         "output_dir",
-        "workers",
     },
 }
 
@@ -100,7 +99,6 @@ class RunConfig:
     seed: int = 0
     dropout: str = "real"
     output_dir: Path = Path("results")
-    workers: int = 1
 
     def camera(self) -> CameraIntrinsics:
         if self.principal_point_px is None:
@@ -151,6 +149,15 @@ def _parse_pair(section: str, key: str, raw: str) -> tuple[float, float]:
 def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     return tuple(_parse_int(section, key, p) for p in parts)
+
+
+def parse_filter_names(raw: str) -> tuple[str, ...]:
+    """Filter names from a comma-separated list, each one checked."""
+    names = tuple(p.strip() for p in raw.split(",") if p.strip())
+    for name in names:
+        if name not in FILTER_NAMES:
+            raise ConfigError(f"unknown filter {name!r}")
+    return names
 
 
 def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
@@ -204,11 +211,7 @@ def apply_config_file(cfg: RunConfig, file_cfg: dict[str, dict[str, str]]) -> No
 
     filters = file_cfg.get("filters", {})
     if "names" in filters:
-        names = tuple(p.strip() for p in filters["names"].split(",") if p.strip())
-        for name in names:
-            if name not in FILTER_NAMES:
-                raise ConfigError(f"unknown filter {name!r}")
-        cfg.filters = names
+        cfg.filters = parse_filter_names(filters["names"])
     init_kwargs = {}
     for key in ("mean_height_m", "max_speed_mps", "max_extent_rate_mps"):
         if key in filters:
@@ -256,8 +259,6 @@ def apply_config_file(cfg: RunConfig, file_cfg: dict[str, dict[str, str]]) -> No
         cfg.min_visibility = _parse_float("run", "min_visibility", run["min_visibility"])
     if "output_dir" in run:
         cfg.output_dir = Path(run["output_dir"])
-    if "workers" in run:
-        cfg.workers = _parse_int("run", "workers", run["workers"])
 
 
 def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, str]:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .camera import CameraIntrinsics
+from .camera import CameraIntrinsics, backproject
 from .exceptions import EmptyTrack, NonPositiveHeight, ParseError
 
 
@@ -350,22 +350,16 @@ def semi_annotate_3d(
 ) -> SemiAnnotation3D:
     """Camera-frame pseudo-truth for a box, assuming the body height.
 
-    Scales the viewing ray of the box's bottom-center so the guessed
-    height spans the observed pixel height; projecting the result back
-    reproduces the box exactly.
+    Backprojects the box's bottom-center so the guessed height spans the
+    observed pixel height, and scales the width alike; projecting the
+    result back reproduces the box exactly.
     """
     if not guessed_height_m > 0:
         raise NonPositiveHeight(
             f"guessed height must be positive, got {guessed_height_m}"
         )
-    if not box.h > 0:
-        raise NonPositiveHeight(f"box height must be positive, got {box.h}")
     cu, cv = cam.principal_point_px
-    scale = guessed_height_m / box.h
-    return SemiAnnotation3D(
-        x=scale * (box.x - cu),
-        y=scale * (box.y - cv),
-        z=scale * cam.focal_px,
-        w=scale * box.w,
-        h=guessed_height_m,
-    )
+    x, y, z = backproject(cam, box.x - cu, box.y - cv, box.h, guessed_height_m)
+    # The same scale as backproject's, so w / h keeps the box's aspect.
+    w = guessed_height_m / box.h * box.w
+    return SemiAnnotation3D(x=x, y=y, z=z, w=w, h=guessed_height_m)

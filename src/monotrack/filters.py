@@ -34,10 +34,10 @@ from typing import Callable
 
 import numpy as np
 
+from .camera import backproject
 from .exceptions import (
     DecompositionFailure,
     DimensionMismatch,
-    FunctionDomainError,
     InvalidEstimate,
     NonPositiveHeight,
     SingularInnovation,
@@ -446,27 +446,22 @@ def _position_fix_fn(
     """Backprojection of the first box as a function of its unknowns.
 
     The argument columns are [x-noise, y-noise, height-noise, body
-    height]; the true pixel height [z0]_4 minus its noise sets the depth
-    through the body height, and the ray through the denoised
-    bottom-center fixes x and y.
+    height]; the denoised bottom-center and pixel height [z0]_4 minus its
+    noise go through ``backproject`` with the body height.  A sigma point
+    with a non-positive denoised height raises ``NonPositiveHeight``.
     """
     cu, cv = model.cam.principal_point_px
-    focal_px = model.cam.focal_px
 
     def transform(points: np.ndarray) -> np.ndarray:
         noise_u, noise_v, noise_h, height_m = points
-        denom = z0[3] - noise_h
-        if np.any(denom <= 0):
-            raise FunctionDomainError(
-                "a sigma point's denoised box height is not positive"
-            )
-        factor = height_m / denom
         return np.stack(
-            [
-                factor * (z0[0] - cu - noise_u),
-                factor * (z0[1] - cv - noise_v),
-                factor * focal_px,
-            ]
+            backproject(
+                model.cam,
+                z0[0] - cu - noise_u,
+                z0[1] - cv - noise_v,
+                z0[3] - noise_h,
+                height_m,
+            )
         )
 
     return transform

@@ -15,6 +15,7 @@ Covariances enter through a factorized solve, never an explicit inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,10 +104,18 @@ class EvalSeries:
 
     @property
     def median(self) -> float:
-        """Median over the defined frames; nan when every frame was skipped."""
-        if self.values.size == 0:
-            return float("nan")
-        return float(np.median(self.values))
+        """Median over the defined frames; nan when every frame was skipped.
+
+        The same float as ``np.median`` (nan if any value is nan), from a
+        sort: ``np.median``'s first call imports ``numpy.ma``.
+        """
+        ordered = np.sort(self.values).tolist()
+        if not ordered or math.isnan(ordered[-1]):
+            return math.nan
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return ordered[mid]
+        return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def stack_trials(

@@ -22,14 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from monotrack.camera import (
-    CameraIntrinsics,
-    Point3,
-    Velocity3,
-    backproject_point,
-    project_point,
-    project_velocity,
-)
+from monotrack.camera import CameraIntrinsics, backproject
 from monotrack.cli import main
 from monotrack.config import RunConfig, resolve_sequence
 from monotrack.dataio import build_tracks, parse_mot_file, semi_annotate_3d
@@ -132,37 +125,27 @@ def test_criterion_02_unscented_equals_linear_kalman():
 def test_criterion_03_camera_round_trips():
     t0 = perf_counter()
     cam = CameraIntrinsics()
+    model = build_model_3d(1.0 / 30.0, cam, 1080.0)
+    cu, cv = cam.principal_point_px
     rng = np.random.default_rng(303)
     worst_rt = 0.0
     worst_fd = 0.0
     step = 1e-6
     for _ in range(1000):
-        point = Point3(*rng.uniform(-5, 5, 2), rng.uniform(0.5, 40.0))
-        pixel = project_point(cam, point)
-        back = backproject_point(cam, pixel, point.z)
-        worst_rt = max(
-            worst_rt,
-            _rel(np.array(back), np.array(point)),
-        )
-        vel = Velocity3(*rng.uniform(-3, 3, 3))
-        analytic = project_velocity(cam, point, vel)
-        plus = project_point(
-            cam,
-            Point3(
-                point.x + step * vel.vx,
-                point.y + step * vel.vy,
-                point.z + step * vel.vz,
-            ),
-        )
-        minus = project_point(
-            cam,
-            Point3(
-                point.x - step * vel.vx,
-                point.y - step * vel.vy,
-                point.z - step * vel.vz,
-            ),
-        )
-        numeric = (np.array(plus) - np.array(minus)) / (2.0 * step)
+        point = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0.5, 40.0)])
+        height = rng.uniform(0.3, 2.5)
+        vel = rng.uniform(-3, 3, 3)
+        # Columns: the point, then one step ahead and one behind along
+        # its velocity; the metric height fixes the pixel height.
+        states = np.zeros((8, 3))
+        states[[0, 2, 4]] = (point + np.outer([0.0, step, -step], vel)).T
+        states[[1, 3, 5], 0] = vel
+        states[7] = height
+        image = project_state(model, states)
+        back = backproject(cam, image[0, 0] - cu, image[2, 0] - cv, image[6, 0], height)
+        worst_rt = max(worst_rt, _rel(np.array(back), point))
+        analytic = image[[1, 3], 0]
+        numeric = (image[[0, 2], 1] - image[[0, 2], 2]) / (2.0 * step)
         denom = max(np.linalg.norm(analytic), 1e-3)
         worst_fd = max(worst_fd, float(np.linalg.norm(analytic - numeric) / denom))
     elapsed = perf_counter() - t0

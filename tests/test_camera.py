@@ -1,4 +1,5 @@
-"""Pinhole projection tests.
+"""Pinhole tests: the forward map ``models.project_state`` and the back
+map ``camera.backproject``.
 
 Expected values are hand computations of u = (f/(|px| z)) x + c_u and its
 time derivative; the default intrinsics give f/|px| = 1000 px with the
@@ -10,22 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monotrack.camera import (
-    DEPTH_EPSILON,
-    CameraIntrinsics,
-    ExtentPair,
-    ImagePoint,
-    Point3,
-    Velocity3,
-    backproject_point,
-    depth_from_height,
-    project_extent,
-    project_point,
-    project_velocity,
-)
+from monotrack.camera import DEPTH_EPSILON, CameraIntrinsics, backproject
 from monotrack.exceptions import DepthNonPositive, NonPositiveHeight
+from monotrack.models import build_model_3d, project_state
 
 CAM = CameraIntrinsics()
+MODEL = build_model_3d(1.0 / 30.0, CAM, 1080.0)
+CU, CV = CAM.principal_point_px
+
+
+def project(x=0.0, y=0.0, z=1.0, vx=0.0, vy=0.0, vz=0.0, w=0.0, h=0.0):
+    """Image state [u, u', v, v', w, w', h, h'] of one camera-frame state."""
+    return project_state(MODEL, np.array([x, vx, y, vy, z, vz, w, h]))
 
 
 def test_intrinsics_defaults():
@@ -46,97 +43,104 @@ def test_intrinsics_for_image_centers_principal_point():
 
 
 def test_project_point_on_axis():
-    assert project_point(CAM, Point3(0, 0, 1)) == ImagePoint(960.0, 540.0)
+    assert project(z=1.0)[[0, 2]].tolist() == [960.0, 540.0]
 
 
 def test_project_point_off_axis():
     # 1000/2 * (1, 0.5) + (960, 540)
-    u, v = project_point(CAM, Point3(1, 0.5, 2))
+    u, v = project(x=1.0, y=0.5, z=2.0)[[0, 2]]
     assert u == pytest.approx(1460.0, abs=1e-12)
     assert v == pytest.approx(790.0, abs=1e-12)
 
 
 def test_project_point_behind_camera():
-    with pytest.raises(DepthNonPositive):
-        project_point(CAM, Point3(0, 0, 0))
-    with pytest.raises(DepthNonPositive):
-        project_point(CAM, Point3(0, 0, -1))
-    with pytest.raises(DepthNonPositive):
-        project_point(CAM, Point3(0, 0, DEPTH_EPSILON))
+    # One column at or behind the camera plane rejects the whole batch.
+    states = np.tile([0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.5, 1.7], (4, 1)).T
+    for z in (0.0, -1.0, DEPTH_EPSILON):
+        states[4, 2] = z
+        with pytest.raises(DepthNonPositive):
+            project_state(MODEL, states)
 
 
 def test_project_velocity_pure_recession():
     # Receding along the ray through (1, 0, 2): pixel slides toward the
     # principal point at -(f z'/(|px| z^2)) x = -250 px/s.
-    vel = project_velocity(CAM, Point3(1, 0, 2), Velocity3(0, 0, 1))
-    assert vel == pytest.approx([-250.0, 0.0], abs=1e-12)
+    out = project(x=1.0, z=2.0, vz=1.0)
+    assert out[[1, 3]] == pytest.approx([-250.0, 0.0], abs=1e-12)
 
 
 def test_project_velocity_lateral():
-    vel = project_velocity(CAM, Point3(0, 0, 2), Velocity3(1, 0, 0))
-    assert vel == pytest.approx([500.0, 0.0], abs=1e-12)
+    out = project(z=2.0, vx=1.0)
+    assert out[[1, 3]] == pytest.approx([500.0, 0.0], abs=1e-12)
 
 
 def test_project_velocity_static_point():
-    vel = project_velocity(CAM, Point3(0.3, -0.2, 5), Velocity3(0, 0, 0))
-    assert vel == pytest.approx([0.0, 0.0], abs=0)
+    out = project(x=0.3, y=-0.2, z=5.0, w=0.5, h=1.7)
+    assert out[[1, 3, 5, 7]] == pytest.approx([0.0] * 4, abs=0)
 
 
 def test_project_extent_at_characteristic_depth():
-    ext = project_extent(CAM, ExtentPair(1.65, 0.0), z=1.65)
-    assert ext.length == pytest.approx(1000.0, abs=1e-12)
-    assert ext.rate == pytest.approx(0.0, abs=0)
+    out = project(z=1.65, h=1.65)
+    assert out[6] == pytest.approx(1000.0, abs=1e-12)
+    assert out[7] == pytest.approx(0.0, abs=0)
 
 
 def test_project_extent_with_recession():
-    ext = project_extent(CAM, ExtentPair(1.65, 0.0), z=2.0, vz=1.0)
-    assert ext.length == pytest.approx(825.0, abs=1e-12)
-    assert ext.rate == pytest.approx(-412.5, abs=1e-12)
+    out = project(z=2.0, vz=1.0, h=1.65)
+    assert out[6] == pytest.approx(825.0, abs=1e-12)
+    assert out[7] == pytest.approx(-412.5, abs=1e-12)
 
 
 def test_project_extent_zero_extent():
-    ext = project_extent(CAM, ExtentPair(0.0, 0.0), z=3.0, vz=-2.0)
-    assert ext == ExtentPair(0.0, 0.0)
+    out = project(z=3.0, vz=-2.0)
+    assert out[4:].tolist() == [0.0] * 4
 
 
 def test_depth_from_height():
-    assert depth_from_height(CAM, 1.65, 1650.0) == pytest.approx(1.0, abs=1e-15)
-    assert depth_from_height(CAM, 1.65, 1000.0) == pytest.approx(1.65, abs=1e-15)
+    # z = (f/|px|) H / h
+    assert backproject(CAM, 0.0, 0.0, 1650.0, 1.65)[2] == pytest.approx(1.0, abs=1e-15)
+    assert backproject(CAM, 0.0, 0.0, 1000.0, 1.65)[2] == pytest.approx(1.65, abs=1e-15)
 
 
 def test_depth_from_height_rejects_nonpositive():
-    with pytest.raises(NonPositiveHeight):
-        depth_from_height(CAM, 0.0, 100.0)
-    with pytest.raises(NonPositiveHeight):
-        depth_from_height(CAM, 1.65, 0.0)
+    for height_px in (0.0, -100.0, float("nan")):
+        with pytest.raises(NonPositiveHeight):
+            backproject(CAM, 0.0, 0.0, height_px, 1.65)
 
 
 def test_backproject_principal_point():
-    assert backproject_point(CAM, ImagePoint(960, 540), 7.0) == Point3(0.0, 0.0, 7.0)
+    assert backproject(CAM, 0.0, 0.0, 165.0, 1.65) == pytest.approx(
+        (0.0, 0.0, 10.0), abs=1e-12
+    )
 
 
 def test_backproject_inverts_projection():
-    point = Point3(1.0, 0.5, 2.0)
-    pixel = project_point(CAM, point)
-    back = backproject_point(CAM, pixel, point.z)
-    assert back == pytest.approx(point, abs=1e-12)
+    u, _, v, _, _, _, h_px, _ = project(x=1.0, y=0.5, z=2.0, h=1.65)
+    back = backproject(CAM, u - CU, v - CV, h_px, 1.65)
+    assert back == pytest.approx((1.0, 0.5, 2.0), abs=1e-12)
 
 
 def test_backproject_rejects_nonpositive_depth():
-    with pytest.raises(DepthNonPositive):
-        backproject_point(CAM, ImagePoint(0, 0), 0.0)
+    # A non-positive pixel height anywhere in a batch would put that
+    # point at or behind the camera, so the whole call is refused.
+    heights = np.array([100.0, 50.0, 0.0, 20.0])
+    with pytest.raises(NonPositiveHeight):
+        backproject(CAM, np.zeros(4), np.zeros(4), heights, np.full(4, 1.65))
 
 
 def test_roundtrip_random_points():
     rng = np.random.default_rng(42)
-    for _ in range(500):
-        point = Point3(
-            rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0.5, 50)
-        )
-        pixel = project_point(CAM, point)
-        back = backproject_point(CAM, pixel, point.z)
-        err = np.abs(np.array(back) - np.array(point)).max()
-        assert err <= 1e-12 * max(1.0, abs(point.x), abs(point.y), point.z)
+    n = 500
+    states = np.zeros((8, n))
+    states[0] = rng.uniform(-10, 10, n)
+    states[2] = rng.uniform(-10, 10, n)
+    states[4] = rng.uniform(0.5, 50, n)
+    states[7] = rng.uniform(0.3, 2.5, n)
+    out = project_state(MODEL, states)
+    back = np.stack(backproject(CAM, out[0] - CU, out[2] - CV, out[6], states[7]))
+    err = np.abs(back - states[[0, 2, 4]]).max(axis=0)
+    scale = np.maximum(1.0, np.abs(states[[0, 2, 4]]).max(axis=0))
+    assert (err <= 1e-12 * scale).all()
 
 
 def test_projection_is_linear_in_lateral_position():
@@ -144,37 +148,32 @@ def test_projection_is_linear_in_lateral_position():
     rng = np.random.default_rng(7)
     for _ in range(100):
         z = rng.uniform(0.5, 30)
-        a = Point3(rng.uniform(-5, 5), rng.uniform(-5, 5), z)
-        b = Point3(rng.uniform(-5, 5), rng.uniform(-5, 5), z)
-        mid = Point3((a.x + b.x) / 2, (a.y + b.y) / 2, z)
-        pa = np.array(project_point(CAM, a))
-        pb = np.array(project_point(CAM, b))
-        pm = np.array(project_point(CAM, mid))
+        ax, ay, bx, by = rng.uniform(-5, 5, 4)
+        pa = project(ax, ay, z)[[0, 2]]
+        pb = project(bx, by, z)[[0, 2]]
+        pm = project((ax + bx) / 2, (ay + by) / 2, z)[[0, 2]]
         assert pm == pytest.approx((pa + pb) / 2, rel=1e-12, abs=1e-9)
 
 
 def test_extent_scale_law():
     # Doubling the depth halves the projected extent exactly.
-    ext = ExtentPair(0.85, 0.1)
-    near = project_extent(CAM, ext, z=4.0)
-    far = project_extent(CAM, ext, z=8.0)
-    assert far.length == pytest.approx(near.length / 2, rel=1e-15)
+    near = project(z=4.0, w=0.85)
+    far = project(z=8.0, w=0.85)
+    assert far[4] == pytest.approx(near[4] / 2, rel=1e-15)
 
 
-def _central_difference_velocity(point: Point3, velocity: Velocity3, step: float):
-    ahead = Point3(*(np.array(point) + step * np.array(velocity)))
-    behind = Point3(*(np.array(point) - step * np.array(velocity)))
-    pa = np.array(project_point(CAM, ahead))
-    pb = np.array(project_point(CAM, behind))
+def _central_difference_velocity(point, velocity, step):
+    pa = project(*(point + step * velocity))[[0, 2]]
+    pb = project(*(point - step * velocity))[[0, 2]]
     return (pa - pb) / (2 * step)
 
 
 def test_project_velocity_matches_finite_differences():
     rng = np.random.default_rng(1234)
     for _ in range(300):
-        point = Point3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 20))
-        velocity = Velocity3(*rng.uniform(-5, 5, size=3))
-        analytic = project_velocity(CAM, point, velocity)
+        point = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 20)])
+        velocity = rng.uniform(-5, 5, size=3)
+        analytic = project(*point, *velocity)[[1, 3]]
         numeric = _central_difference_velocity(point, velocity, 1e-6)
         denom = max(np.linalg.norm(analytic), 1e-3)
         assert np.linalg.norm(numeric - analytic) / denom <= 1e-6

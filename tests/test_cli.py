@@ -1,6 +1,6 @@
 """Command-line tests driven through ``main(argv)``: each subcommand's
 happy path, the exit-code contract (0 success, 2 partial filter
-failures, 1 configuration or IO errors), option precedence, and
+failures, 1 usage, configuration or IO errors), option precedence, and
 byte-level determinism of a repeated run.
 """
 
@@ -141,16 +141,17 @@ def test_run_rejects_missing_track_id(synthetic_sequence, tmp_path, capsys):
     assert "track ids" in capsys.readouterr().err
 
 
-def test_run_workers_match_serial_output(synthetic_sequence, tmp_path):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    base = ["run", "--seq", str(synthetic_sequence.seq_dir), "--trials", "3"]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--out", str(parallel), "--workers", "4"]) == 0
-    files_s = sorted(p.name for p in serial.iterdir())
-    files_p = sorted(p.name for p in parallel.iterdir())
-    assert files_s == files_p
-    for name in files_s:
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+def test_usage_errors_exit_1(synthetic_sequence, tmp_path, capsys):
+    # argparse's own exit code 2 would read as "a filter run stopped early".
+    base = ["run"] + seq_args(synthetic_sequence, tmp_path)
+    assert main(base + ["--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert main(base + ["--trials", "abc"]) == 1
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert main([]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
 
 
 def test_repeated_runs_are_byte_identical(synthetic_sequence, tmp_path):

@@ -46,6 +46,10 @@ def test_read_config_file_rejects_unknown_key(tmp_path):
     path = write(tmp_path, "[sim]\ntrails = 50\n")
     with pytest.raises(ConfigError):
         read_config_file(path)
+    # The thread pool across tracks is gone, and so is its key.
+    path = write(tmp_path, "[run]\nworkers = 2\n")
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        read_config_file(path)
 
 
 def test_read_config_file_rejects_missing_and_malformed(tmp_path):
@@ -65,7 +69,7 @@ def test_apply_config_file_folds_values(tmp_path):
         "[sim]\ntrials = 25\nseed = 3\ndropout = none\n\n"
         "[run]\nimage_width = 640\nimage_height = 480\nframe_rate = 25\n"
         "gamma = 480\ntrack_ids = 2, 5\nclass_ids = 1, 7\n"
-        "min_visibility = 0.25\noutput_dir = out\nworkers = 2\n"
+        "min_visibility = 0.25\noutput_dir = out\n"
         "guessed_height_m = 1.7\niou_threshold = 0.4\n",
     )
     cfg = RunConfig()
@@ -81,7 +85,7 @@ def test_apply_config_file_folds_values(tmp_path):
     assert cfg.gamma == 480.0
     assert cfg.track_ids == (2, 5) and cfg.class_ids == frozenset({1, 7})
     assert cfg.min_visibility == 0.25
-    assert cfg.output_dir == Path("out") and cfg.workers == 2
+    assert cfg.output_dir == Path("out")
     assert cfg.guessed_height_m == 1.7 and cfg.iou_threshold == 0.4
     camera = cfg.camera()
     assert camera.focal_length_m == 2e-3

@@ -568,7 +568,7 @@ def test_init_3d_rejects_degenerate_boxes():
         init_3d(np.array([960.0, 540.0, 85.0, -1.0]), model)
     # A box shorter than the detector-noise spread puts a sigma point at
     # a non-positive denoised height.
-    with pytest.raises(FunctionDomainError):
+    with pytest.raises(NonPositiveHeight):
         init_3d(np.array([960.0, 540.0, 5.0, 10.0]), model)
 
 

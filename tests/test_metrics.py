@@ -5,8 +5,14 @@ and the per-track evaluation series.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from monotrack.exceptions import (
@@ -125,6 +131,40 @@ def test_eval_series_median_and_empty():
     assert series.median == 2.0
     empty = EvalSeries((), np.array([]), "bb", 0, n_skipped=4)
     assert np.isnan(empty.median)
+
+
+_METRIC_VALUES = st.lists(
+    st.floats(min_value=0.0) | st.just(float("nan")), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_METRIC_VALUES)
+@example([1.7e308, 1.7e308])
+@example([0.0, float("inf")])
+@example([2.0, float("nan"), 1.0])
+@example([float("inf"), float("inf"), float("nan")])
+def test_eval_series_median_is_numpy_median(values):
+    series = EvalSeries(range(len(values)), np.array(values), "bb", 1)
+    with np.errstate(over="ignore"):
+        expected = np.median(values) if values else np.nan
+    assert np.array([series.median]).tobytes() == np.array([expected]).tobytes()
+
+
+def test_eval_series_median_leaves_numpy_ma_unloaded():
+    # np.median's first call imports numpy.ma, which costs every
+    # invocation of the command line tens of milliseconds.
+    code = (
+        "import sys\n"
+        "from monotrack.metrics import EvalSeries\n"
+        "assert EvalSeries((0, 1), [1.0, 2.0], 'bb', 1).median == 1.5\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_eval_series_validation():

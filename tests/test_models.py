@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monotrack.camera import CameraIntrinsics
+from monotrack.camera import DEPTH_EPSILON, CameraIntrinsics
 from monotrack.exceptions import DepthNonPositive, InvalidTimestep
 from monotrack.models import (
     ARParams,
@@ -214,22 +214,18 @@ def test_project_state_extent_rate_from_recession():
 
 def test_project_state_rejects_nonpositive_depth():
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
-    state = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.85, 1.65])
-    with pytest.raises(DepthNonPositive):
-        project_state(model, state)
+    for z in (0.0, -1.0, DEPTH_EPSILON):
+        state = np.array([0.0, 0.0, 0.0, 0.0, z, 0.0, 0.85, 1.65])
+        with pytest.raises(DepthNonPositive):
+            project_state(model, state)
 
 
 def test_project_state_agrees_with_camera_operations():
-    from monotrack.camera import (
-        ExtentPair,
-        Point3,
-        Velocity3,
-        project_extent,
-        project_point,
-        project_velocity,
-    )
-
+    # Expected values from the pinhole map written out per component:
+    # u = s x + c_u with s = f/(|px| z), u' = s (x' - z' x / z), and an
+    # extent e projects to s e with rate -s z' e / z.
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
+    cu, cv = CAM.principal_point_px
     rng = np.random.default_rng(11)
     for _ in range(200):
         state = np.concatenate(
@@ -242,12 +238,10 @@ def test_project_state_agrees_with_camera_operations():
         )
         x, vx, y, vy, z, vz, w, h = state
         out = project_state(model, state)
-        point = project_point(CAM, Point3(x, y, z))
-        vel = project_velocity(CAM, Point3(x, y, z), Velocity3(vx, vy, vz))
-        w_ext = project_extent(CAM, ExtentPair(w, 0.0), z, vz)
-        h_ext = project_extent(CAM, ExtentPair(h, 0.0), z, vz)
-        expected = [point.u, vel[0], point.v, vel[1],
-                    w_ext.length, w_ext.rate, h_ext.length, h_ext.rate]
+        s = CAM.focal_px / z
+        expected = [s * x + cu, s * (vx - vz * x / z), s * y + cv,
+                    s * (vy - vz * y / z), s * w, -s * vz * w / z,
+                    s * h, -s * vz * h / z]
         assert out == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 

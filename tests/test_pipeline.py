@@ -118,7 +118,7 @@ def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
         track, real_detection_vectors(track), synthetic_bundle, "ukf3d"
     )
     assert run.failure is not None
-    assert "DepthNonPositive" in run.failure or "FunctionDomainError" in run.failure
+    assert "DepthNonPositive" in run.failure or "NonPositiveHeight" in run.failure
     assert len(run.frames) == len(run.native) == len(run.boxes) == 0
 
     result = run_track(track, synthetic_bundle, ("kf2d", "ukf3d"), 1.65)
