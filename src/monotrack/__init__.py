@@ -12,7 +12,6 @@ from .camera import DEPTH_EPSILON, CameraIntrinsics, backproject
 from .dataio import (
     BoundingBox,
     MotRow,
-    SemiAnnotation3D,
     TrackSequence,
     associate_greedy_iou,
     attach_detections,

@@ -39,17 +39,15 @@ from .dataio import (
     attach_detections,
     detection_rows,
     parse_mot_file,
-    semi_annotate_3d,
     write_mot_file,
 )
 from .exceptions import ConfigError, EstimationError, ParseError
-from .metrics import evaluate_track, stack_trials
-from .models import MEASURED_ROWS
 from .pipeline import (
-    EVAL_ROWS_3D,
+    SPACES,
     ModelBundle,
     real_dropout_mask,
     run_track,
+    score_trials,
     write_metrics_csv,
     write_track_outputs,
 )
@@ -194,6 +192,8 @@ def _sim_config(cfg: RunConfig, track: TrackSequence, bundle: ModelBundle) -> Si
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    if cfg.trials < 0:
+        raise ConfigError(f"run needs --trials >= 0, got {cfg.trials}")
     if cfg.trials == 0 and cfg.det_path is None:
         raise ConfigError(
             "a real-detection run needs a detection file; "
@@ -251,11 +251,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_estimates_csv(
     path: Path,
-) -> tuple[str, list[tuple[int, int, np.ndarray, np.ndarray]]]:
-    """Read back an estimates CSV: space tag and (trial, k, mean, cov) rows."""
-    keys = []
+) -> tuple[str, list[tuple[list[int], np.ndarray, np.ndarray]]]:
+    """Read back an estimates CSV: its space tag and, per trial in trial
+    order, the frames with their (L, n) means and (L, n, n) covariances."""
+    frames: list[int] = []
+    by_trial: dict[int, list[int]] = {}
+    tags: set[str] = set()
     values = array("d")
-    space = ""
     with open(path, "r", encoding="utf-8") as handle:
         lines = (text for text in map(str.strip, handle) if text)
         first = next(lines, None)
@@ -267,9 +269,10 @@ def _read_estimates_csv(
         n = len(mean_cols)
         if n == 0 or len(cov_cols) != n * (n + 1) // 2:
             raise ParseError(1, f"unrecognized estimates header: {first}")
-        space_col = header.index("space")
-        k_col = header.index("k")
-        trial_col = header.index("trial") if "trial" in header else None
+        missing = [name for name in ("trial", "k", "space") if name not in header]
+        if missing:
+            raise ParseError(1, f"estimates header lacks the columns {missing}")
+        trial_col, k_col, space_col = map(header.index, ("trial", "k", "space"))
         pick_values = itemgetter(*mean_cols, *cov_cols)
         for lineno, line in enumerate(lines, start=2):
             fields = line.split(",")
@@ -278,20 +281,30 @@ def _read_estimates_csv(
                     lineno, f"expected {len(header)} fields, got {len(fields)}"
                 )
             try:
-                trial = int(fields[trial_col]) if trial_col is not None else 0
-                keys.append((trial, int(fields[k_col])))
+                trial = int(fields[trial_col])
+                k = int(fields[k_col])
                 values.extend(map(float, pick_values(fields)))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-            space = fields[space_col]
-    table = np.frombuffer(values, dtype=float).reshape(len(keys), n + len(cov_cols))
+            by_trial.setdefault(trial, []).append(len(frames))
+            frames.append(k)
+            tags.add(fields[space_col])
+    if len(tags) != 1:
+        raise ParseError(1, f"expected rows of one space, got {sorted(tags)}")
+    space = tags.pop()
+    if space not in SPACES or len(SPACES[space].names) != n:
+        raise ParseError(1, f"space {space!r} does not fit {n} mean columns")
+    table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
     means = table[:, :n]
-    covs = np.zeros((len(keys), n, n))
+    covs = np.zeros((len(frames), n, n))
     upper = np.triu_indices(n)
     covs[:, upper[0], upper[1]] = table[:, n:]
     covs[:, upper[1], upper[0]] = table[:, n:]
-    rows = [(trial, k, means[r], covs[r]) for r, (trial, k) in enumerate(keys)]
-    return space, rows
+    trials = [
+        ([frames[r] for r in rows], means[rows], covs[rows])
+        for _, rows in sorted(by_trial.items())
+    ]
+    return space, trials
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -303,49 +316,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     track = next(iter(tracks.values()))
     estimates_path = Path(args.estimates)
-    space, rows = _read_estimates_csv(estimates_path)
-
-    if space in ("2d", "bot"):
-        picked = list(MEASURED_ROWS)
-        space = "bb"
-    elif space == "3d":
-        picked = list(EVAL_ROWS_3D)
-    elif space == "bb":
-        picked = None
-    else:
-        raise ConfigError(f"estimates file has unknown space {space!r}")
-
-    if space == "3d":
-        cam = cfg.camera()
-        truth = np.stack(
-            [
-                semi_annotate_3d(box, cam, cfg.guessed_height_m).as_vector()
-                for box in track.annotations
-            ]
-        )
-    else:
-        truth = np.stack([box.as_vector() for box in track.annotations])
-
-    # Stack per trial; a frame counts only when every trial recorded it,
-    # matching how a run scores its own trials.
-    by_trial: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for trial, k, mean, cov in rows:
-        by_trial.setdefault(trial, []).append((k, mean, cov))
-    trials = []
-    for _, group in sorted(by_trial.items()):
-        means = np.array([mean for _, mean, _ in group])
-        covs = np.array([cov for _, _, cov in group])
-        if picked is not None:
-            means = means[:, picked]
-            covs = covs[:, picked][:, :, picked]
-        trials.append(([k for k, _, _ in group], means, covs))
-    means, covs = stack_trials(track.frames, trials)
-    rmse_series, anees_series = evaluate_track(truth, means, covs, track.frames, space)
+    space, trials = _read_estimates_csv(estimates_path)
+    rmse_series, anees_series = score_trials(
+        track, space, trials, cfg.camera(), cfg.guessed_height_m
+    )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"{estimates_path.stem}_metrics.csv"
     write_metrics_csv(out_path, rmse_series, anees_series)
     print(
-        f"{estimates_path.name} {space}: median_rmse={rmse_series.median:.6g} "
+        f"{estimates_path.name} {rmse_series.space}: "
+        f"median_rmse={rmse_series.median:.6g} "
         f"median_anees={anees_series.median:.6g} "
         f"frames={len(rmse_series.frames)}/{len(track.frames)} "
         f"trials={len(trials)}"

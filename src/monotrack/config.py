@@ -101,13 +101,16 @@ class RunConfig:
     output_dir: Path = Path("results")
 
     def camera(self) -> CameraIntrinsics:
-        if self.principal_point_px is None:
-            return CameraIntrinsics.for_image(
-                self.image_size, self.focal_length_m, self.pixel_size_m
+        try:
+            if self.principal_point_px is None:
+                return CameraIntrinsics.for_image(
+                    self.image_size, self.focal_length_m, self.pixel_size_m
+                )
+            return CameraIntrinsics(
+                self.focal_length_m, self.pixel_size_m, self.principal_point_px
             )
-        return CameraIntrinsics(
-            self.focal_length_m, self.pixel_size_m, self.principal_point_px
-        )
+        except ValueError as exc:
+            raise ConfigError(f"invalid camera: {exc}") from exc
 
     def bundle(self) -> ModelBundle:
         return build_bundle(

@@ -38,23 +38,6 @@ class BoundingBox(NamedTuple):
         return np.array(self, dtype=float)
 
 
-class SemiAnnotation3D(NamedTuple):
-    """Camera-frame pseudo-truth from a box and a guessed body height.
-
-    Position (x, y, z) of the bottom-center in meters, body width w and
-    height h; h is the guessed height itself.
-    """
-
-    x: float
-    y: float
-    z: float
-    w: float
-    h: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-
 @dataclass(frozen=True)
 class MotRow:
     """One parsed file row; class and visibility only where the file has them."""
@@ -346,20 +329,22 @@ def attach_detections(
 
 
 def semi_annotate_3d(
-    box: BoundingBox, cam: CameraIntrinsics, guessed_height_m: float
-) -> SemiAnnotation3D:
-    """Camera-frame pseudo-truth for a box, assuming the body height.
+    boxes: Sequence[BoundingBox], cam: CameraIntrinsics, guessed_height_m: float
+) -> np.ndarray:
+    """Camera-frame pseudo-truth for boxes, assuming the body height.
 
-    Backprojects the box's bottom-center so the guessed height spans the
-    observed pixel height, and scales the width alike; projecting the
-    result back reproduces the box exactly.
+    Returns one row [x, y, z, w, h] per box: the bottom-center position
+    in meters, backprojected so the guessed height spans the observed
+    pixel height, the width scaled alike, and h the guessed height
+    itself.  Projecting a row back reproduces its box exactly.
     """
     if not guessed_height_m > 0:
         raise NonPositiveHeight(
             f"guessed height must be positive, got {guessed_height_m}"
         )
+    u, v, w, h = np.array(boxes, dtype=float).reshape(-1, 4).T
     cu, cv = cam.principal_point_px
-    x, y, z = backproject(cam, box.x - cu, box.y - cv, box.h, guessed_height_m)
+    x, y, z = backproject(cam, u - cu, v - cv, h, guessed_height_m)
     # The same scale as backproject's, so w / h keeps the box's aspect.
-    w = guessed_height_m / box.h * box.w
-    return SemiAnnotation3D(x=x, y=y, z=z, w=w, h=guessed_height_m)
+    width = guessed_height_m / h * w
+    return np.stack([x, y, z, width, np.full_like(h, guessed_height_m)], axis=1)

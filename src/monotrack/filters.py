@@ -54,11 +54,6 @@ from .models import (
     symmetrize,
 )
 
-SPACE_2D = "2d"
-SPACE_3D = "3d"
-SPACE_BOT = "bot"
-SPACE_BB = "bb"
-
 # Tolerances of the estimate validity checks, relative to matrix scale.
 _SYM_RTOL = 1e-9
 _EIG_RTOL = 1e-9
@@ -78,8 +73,6 @@ class GaussianEstimate:
 
     mean: np.ndarray
     cov: np.ndarray
-    frame: int = 0
-    space: str = SPACE_2D
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -218,7 +211,7 @@ def kf_predict(
     Q: np.ndarray,
     offset: np.ndarray | None = None,
 ) -> GaussianEstimate:
-    """One linear prediction step; advances the frame index by one."""
+    """One linear prediction step."""
     F = np.asarray(F, dtype=float)
     Q = np.asarray(Q, dtype=float)
     _check_linear_dims(est, F, Q)
@@ -226,7 +219,7 @@ def kf_predict(
     if offset is not None:
         mean = mean + np.asarray(offset, dtype=float)
     cov = symmetrize(F @ est.cov @ F.T + Q)
-    return GaussianEstimate(mean, cov, est.frame + 1, est.space)
+    return GaussianEstimate(mean, cov)
 
 
 def _innovation_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -264,7 +257,7 @@ def kf_update(
     K = _innovation_solve(S, H @ pred.cov).T
     mean = pred.mean + K @ (z - H @ pred.mean)
     cov = joseph_covariance(pred.cov, K, H, R)
-    return GaussianEstimate(mean, cov, pred.frame, pred.space)
+    return GaussianEstimate(mean, cov)
 
 
 @dataclass(frozen=True)
@@ -304,7 +297,6 @@ def init_2d(
     z0: np.ndarray,
     R: np.ndarray,
     consts: InitConstants2D | None = None,
-    frame: int = 0,
 ) -> GaussianEstimate:
     """First estimate of the 2D filter from one bounding box.
 
@@ -324,12 +316,10 @@ def init_2d(
     v_ext = (scale * consts.max_extent_rate_mps / 3.0) ** 2
     cov = h.T @ np.asarray(R, dtype=float) @ h
     cov[np.diag_indices(8)] += np.array([0, v_pos, 0, v_pos, 0, v_ext, 0, v_ext])
-    return GaussianEstimate(mean, symmetrize(cov), frame, SPACE_2D)
+    return GaussianEstimate(mean, symmetrize(cov))
 
 
-def bot_init(
-    z0: np.ndarray, params: BoTParams | None = None, frame: int = 0
-) -> GaussianEstimate:
+def bot_init(z0: np.ndarray, params: BoTParams | None = None) -> GaussianEstimate:
     """First estimate of the heuristic baseline from one bounding box."""
     params = params or BoTParams()
     z0 = np.asarray(z0, dtype=float)
@@ -340,7 +330,7 @@ def bot_init(
     # 2 on positions and 10 on rates.
     wide = BoTParams(2.0 * params.zeta_r, 10.0 * params.zeta_rdot)
     cov = bot_process_noise(z0[2], z0[3], wide)
-    return GaussianEstimate(mean, cov, frame, SPACE_BOT)
+    return GaussianEstimate(mean, cov)
 
 
 def bot_predict(
@@ -348,11 +338,8 @@ def bot_predict(
 ) -> GaussianEstimate:
     """Baseline prediction; process noise from the filtered extents of k-1."""
     params = params or BoTParams()
-    F = bot_transition_matrix()
     Q = bot_process_noise(est.mean[4], est.mean[6], params)
-    mean = F @ est.mean
-    cov = symmetrize(F @ est.cov @ F.T + Q)
-    return GaussianEstimate(mean, cov, est.frame + 1, SPACE_BOT)
+    return kf_predict(est, bot_transition_matrix(), Q)
 
 
 def bot_update(
@@ -371,7 +358,7 @@ def bot_update(
     K = _innovation_solve(S, H @ pred.cov).T
     mean = pred.mean + K @ (z - H @ pred.mean)
     cov = symmetrize(pred.cov - K @ S @ K.T)
-    return GaussianEstimate(mean, cov, pred.frame, SPACE_BOT)
+    return GaussianEstimate(mean, cov)
 
 
 def bb_measurement_fn(model: ModelSet3D) -> Callable[[np.ndarray], np.ndarray]:
@@ -409,7 +396,7 @@ def unscented_kalman_update(
     mean = pred.mean + K @ (z - sigma.mean_y)
     residual_dev = sigma.dev_x - K @ sigma.dev_y
     cov = symmetrize(residual_dev @ residual_dev.T + K @ R @ K.T)
-    return GaussianEstimate(mean, cov, pred.frame, pred.space)
+    return GaussianEstimate(mean, cov)
 
 
 def ukf_predict(est: GaussianEstimate, model: ModelSet3D) -> GaussianEstimate:
@@ -471,7 +458,6 @@ def init_3d(
     z0: np.ndarray,
     model: ModelSet3D,
     consts: InitConstants3D | None = None,
-    frame: int = 0,
 ) -> GaussianEstimate:
     """First estimate of the 3D filter from one bounding box.
 
@@ -498,7 +484,7 @@ def init_3d(
     cov[np.diag_indices(8)] += np.array(
         [0, v, 0, v, 0, v, p.sigma_w**2, p.sigma_h**2]
     )
-    return GaussianEstimate(mean, symmetrize(cov), frame, SPACE_3D)
+    return GaussianEstimate(mean, symmetrize(cov))
 
 
 def project_estimate(
@@ -511,14 +497,10 @@ def project_estimate(
     noise added.
     """
     sigma = unscented_transform(est.mean, est.cov, bb_measurement_fn(model))
-    return GaussianEstimate(
-        sigma.mean_y, symmetrize(sigma.cov_y), est.frame, SPACE_BB
-    )
+    return GaussianEstimate(sigma.mean_y, symmetrize(sigma.cov_y))
 
 
 def linear_box_estimate(est: GaussianEstimate) -> GaussianEstimate:
     """Bounding-box Gaussian of a linear-state estimate: H mean, H P H^T."""
     h = measurement_matrix()
-    return GaussianEstimate(
-        h @ est.mean, symmetrize(h @ est.cov @ h.T), est.frame, SPACE_BB
-    )
+    return GaussianEstimate(h @ est.mean, symmetrize(h @ est.cov @ h.T))

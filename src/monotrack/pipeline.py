@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .exceptions import (
     SingularInnovation,
 )
 from .filters import (
-    SPACE_BB,
-    SPACE_3D,
     GaussianEstimate,
     InitConstants2D,
     InitConstants3D,
@@ -48,6 +47,7 @@ from .filters import (
 )
 from .metrics import EvalSeries, evaluate_track, stack_trials
 from .models import (
+    MEASURED_ROWS,
     BoTParams,
     ModelSet2D,
     ModelSet3D,
@@ -57,18 +57,6 @@ from .models import (
 )
 from .sim import SimConfig, simulate_detections
 
-FILTER_NAMES = ("kf2d", "bot", "ukf3d")
-
-STATE_NAMES = {
-    "2d": ("x", "vx", "y", "vy", "w", "vw", "h", "vh"),
-    "bot": ("x", "Tvx", "y", "Tvy", "w", "Tvw", "h", "Tvh"),
-    "3d": ("x", "vx", "y", "vy", "z", "vz", "w", "h"),
-    "bb": ("x", "y", "w", "h"),
-}
-
-# State components compared against a semi-annotation [x, y, z, w, h].
-EVAL_ROWS_3D = (0, 2, 4, 6, 7)
-
 # Filter errors that end a track instead of crashing the run.
 _TRACK_STOPPERS = (
     FunctionDomainError,
@@ -76,6 +64,29 @@ _TRACK_STOPPERS = (
     SingularInnovation,
     InvalidEstimate,
 )
+
+
+class SpaceSpec(NamedTuple):
+    """An estimate space's state names, the space it is scored in (``bb``
+    or ``3d``) and the state rows compared with that space's truth."""
+
+    names: tuple[str, ...]
+    scored_in: str
+    rows: tuple[int, ...]
+
+
+SPACES = {
+    "2d": SpaceSpec(
+        ("x", "vx", "y", "vy", "w", "vw", "h", "vh"), "bb", MEASURED_ROWS
+    ),
+    "bot": SpaceSpec(
+        ("x", "Tvx", "y", "Tvy", "w", "Tvw", "h", "Tvh"), "bb", MEASURED_ROWS
+    ),
+    "3d": SpaceSpec(
+        ("x", "vx", "y", "vy", "z", "vz", "w", "h"), "3d", (0, 2, 4, 6, 7)
+    ),
+    "bb": SpaceSpec(("x", "y", "w", "h"), "bb", (0, 1, 2, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,46 @@ def build_bundle(
     )
 
 
+class FilterSpec(NamedTuple):
+    """What sets one filter apart: its native space and its four steps.
+
+    The steps look the filter functions up in this module when called,
+    so a rebound module name (a tracer's wrapper) is the one that runs.
+    """
+
+    space: str
+    init: Callable[[np.ndarray, ModelBundle], GaussianEstimate]
+    predict: Callable[[GaussianEstimate, ModelBundle], GaussianEstimate]
+    update: Callable[[GaussianEstimate, np.ndarray, ModelBundle], GaussianEstimate]
+    box: Callable[[GaussianEstimate, ModelBundle], GaussianEstimate]
+
+
+FILTERS: dict[str, FilterSpec] = {
+    "kf2d": FilterSpec(
+        space="2d",
+        init=lambda z0, b: init_2d(z0, b.model2d.R, b.init2d),
+        predict=lambda est, b: kf_predict(est, b.model2d.F, b.model2d.Q),
+        update=lambda est, z, b: kf_update(est, z, b.model2d.H, b.model2d.R),
+        box=lambda est, b: linear_box_estimate(est),
+    ),
+    "bot": FilterSpec(
+        space="bot",
+        init=lambda z0, b: bot_init(z0, b.bot_params),
+        predict=lambda est, b: bot_predict(est, b.bot_params),
+        update=lambda est, z, b: bot_update(est, z, b.bot_params),
+        box=lambda est, b: linear_box_estimate(est),
+    ),
+    "ukf3d": FilterSpec(
+        space="3d",
+        init=lambda z0, b: init_3d(z0, b.model3d, b.init3d),
+        predict=lambda est, b: ukf_predict(est, b.model3d),
+        update=lambda est, z, b: ukf_update(est, z, b.model3d),
+        box=lambda est, b: project_estimate(est, b.model3d),
+    ),
+}
+FILTER_NAMES = tuple(FILTERS)
+
+
 @dataclass
 class FilterRun:
     """One filter's pass over one track with one detection series."""
@@ -130,7 +181,6 @@ class FilterRun:
     native: list[GaussianEstimate] = field(default_factory=list)
     boxes: list[GaussianEstimate] = field(default_factory=list)
     failure: str | None = None
-    n_frames: int = 0
 
 
 def run_filter(
@@ -146,61 +196,29 @@ def run_filter(
     annotation gaps, which may span several sampling periods), and
     updates where a detection exists.
     """
-    if filter_name not in FILTER_NAMES:
+    spec = FILTERS.get(filter_name)
+    if spec is None:
         raise ConfigError(f"unknown filter {filter_name!r}")
-    run = FilterRun(filter_name=filter_name, n_frames=len(track.frames))
+    run = FilterRun(filter_name)
     start = next((i for i, z in enumerate(detections) if z is not None), None)
     if start is None:
         run.failure = "no detections to initialize from"
         return run
-
-    m2 = bundle.model2d
-    m3 = bundle.model3d
-
-    def initialize(z0: np.ndarray, frame: int) -> GaussianEstimate:
-        if filter_name == "kf2d":
-            return init_2d(z0, m2.R, bundle.init2d, frame)
-        if filter_name == "bot":
-            return bot_init(z0, bundle.bot_params, frame)
-        return init_3d(z0, m3, bundle.init3d, frame)
-
-    def predict(est: GaussianEstimate) -> GaussianEstimate:
-        if filter_name == "kf2d":
-            return kf_predict(est, m2.F, m2.Q)
-        if filter_name == "bot":
-            return bot_predict(est, bundle.bot_params)
-        return ukf_predict(est, m3)
-
-    def update(est: GaussianEstimate, z: np.ndarray) -> GaussianEstimate:
-        if filter_name == "kf2d":
-            return kf_update(est, z, m2.H, m2.R)
-        if filter_name == "bot":
-            return bot_update(est, z, bundle.bot_params)
-        return ukf_update(est, z, m3)
-
-    def box_of(est: GaussianEstimate) -> GaussianEstimate:
-        if filter_name == "ukf3d":
-            return project_estimate(est, m3)
-        return linear_box_estimate(est)
-
-    def record(est: GaussianEstimate, frame: int) -> None:
-        # Project before appending so a failure cannot leave the lists
-        # at different lengths.
-        box = box_of(est)
-        run.frames.append(frame)
-        run.native.append(est)
-        run.boxes.append(box)
-
     try:
-        est = initialize(detections[start], track.frames[start])
-        record(est, track.frames[start])
-        for i in range(start + 1, len(track.frames)):
-            for _ in range(track.frames[i] - track.frames[i - 1]):
-                est = predict(est)
-            z = detections[i]
-            if z is not None:
-                est = update(est, z)
-            record(est, track.frames[i])
+        for i in range(start, len(track.frames)):
+            if i == start:
+                est = spec.init(detections[i], bundle)
+            else:
+                for _ in range(track.frames[i] - track.frames[i - 1]):
+                    est = spec.predict(est, bundle)
+                if detections[i] is not None:
+                    est = spec.update(est, detections[i], bundle)
+            # Project before appending so a failure cannot leave the lists
+            # at different lengths.
+            box = spec.box(est, bundle)
+            run.frames.append(track.frames[i])
+            run.native.append(est)
+            run.boxes.append(box)
     except _TRACK_STOPPERS as exc:
         run.failure = f"{type(exc).__name__}: {exc}"
     return run
@@ -227,20 +245,44 @@ class TrackResult:
 
 
 def _trial_arrays(
-    run: FilterRun, space: str, rows: list[int] | None = None
+    run: FilterRun, space: str
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """One trial's frames with its stacked means and covariances.
-
-    ``space`` picks the box estimates (``bb``) or the native ones; ``rows``
-    keeps only those state components.
-    """
-    estimates = run.boxes if space == SPACE_BB else run.native
+    """One trial's frames with its stacked ``bb`` or native estimates."""
+    estimates = run.boxes if space == "bb" else run.native
     means = np.array([est.mean for est in estimates])
     covs = np.array([est.cov for est in estimates])
-    if rows is not None and estimates:
-        means = means[:, rows]
-        covs = covs[:, rows][:, :, rows]
     return run.frames, means, covs
+
+
+def score_trials(
+    track: TrackSequence,
+    space: str,
+    trials: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
+    cam: CameraIntrinsics,
+    guessed_height_m: float,
+) -> tuple[EvalSeries, EvalSeries]:
+    """RMSE and ANEES series of trials of one estimate space.
+
+    Each trial gives its frames with (L, n) means and (L, n, n)
+    covariances.  The space's rows are scored against the annotated
+    boxes or, in ``3d``, their semi-annotations; a frame counts only when
+    every trial covers it.
+    """
+    spec = SPACES[space]
+    rows = list(spec.rows)
+    # A trial with no frames has no rows to pick.
+    trials = [
+        (frames, means[:, rows], covs[:, rows][:, :, rows])
+        if len(frames)
+        else (frames, means, covs)
+        for frames, means, covs in trials
+    ]
+    if spec.scored_in == "3d":
+        truth = semi_annotate_3d(track.annotations, cam, guessed_height_m)
+    else:
+        truth = np.stack([box.as_vector() for box in track.annotations])
+    means, covs = stack_trials(track.frames, trials)
+    return evaluate_track(truth, means, covs, track.frames, spec.scored_in)
 
 
 def evaluate_runs(
@@ -249,27 +291,16 @@ def evaluate_runs(
     bundle: ModelBundle,
     guessed_height_m: float,
 ) -> dict[str, tuple[EvalSeries, EvalSeries]]:
-    """Score one filter's trials in box space and, if 3D, camera space."""
+    """Score one filter's trials in box space and, if its native space is
+    scored in camera space, there too."""
     out: dict[str, tuple[EvalSeries, EvalSeries]] = {}
-    box_truth = np.stack([box.as_vector() for box in track.annotations])
-    means, covs = stack_trials(
-        track.frames, [_trial_arrays(run, SPACE_BB) for run in runs]
-    )
-    out[SPACE_BB] = evaluate_track(box_truth, means, covs, track.frames, SPACE_BB)
-    if runs and runs[0].filter_name == "ukf3d":
-        truth_3d = np.stack(
-            [
-                semi_annotate_3d(box, bundle.cam, guessed_height_m).as_vector()
-                for box in track.annotations
-            ]
-        )
-        rows = list(EVAL_ROWS_3D)
-        means3, covs3 = stack_trials(
-            track.frames, [_trial_arrays(run, SPACE_3D, rows) for run in runs]
-        )
-        out[SPACE_3D] = evaluate_track(
-            truth_3d, means3, covs3, track.frames, SPACE_3D
-        )
+    for space in ("bb", FILTERS[runs[0].filter_name].space):
+        scored_in = SPACES[space].scored_in
+        if scored_in not in out:
+            trials = [_trial_arrays(run, space) for run in runs]
+            out[scored_in] = score_trials(
+                track, space, trials, bundle.cam, guessed_height_m
+            )
     return out
 
 
@@ -312,7 +343,7 @@ def write_estimates_csv(
     Rows are formatted and written one trial at a time, so memory stays
     bounded by the longest trial.
     """
-    names = STATE_NAMES[space]
+    names = SPACES[space].names
     n = len(names)
     upper = np.triu_indices(n)
     header = (
@@ -364,10 +395,6 @@ def write_summary_csv(path: Path, result: TrackResult) -> None:
             )
 
 
-def native_space(filter_name: str) -> str:
-    return {"kf2d": "2d", "bot": "bot", "ukf3d": "3d"}[filter_name]
-
-
 def write_track_outputs(
     out_dir: Path, seq_name: str, result: TrackResult
 ) -> list[Path]:
@@ -379,7 +406,7 @@ def write_track_outputs(
     stem = f"{seq_name}_id{result.track.object_id}"
     written: list[Path] = []
     for name in result.runs:
-        for space in (native_space(name), SPACE_BB):
+        for space in (FILTERS[name].space, "bb"):
             path = out_dir / f"{stem}_{name}_estimates_{space}.csv"
             write_estimates_csv(path, result.track, result.runs[name], space)
             written.append(path)

@@ -206,12 +206,7 @@ def _sequence_semi_annotation_error(seq_dir: Path) -> tuple[float, int]:
     count = 0
     for track in tracks.values():
         boxes = np.stack([box.as_vector() for box in track.annotations])
-        semis = np.stack(
-            [
-                semi_annotate_3d(box, cam, 1.65).as_vector()
-                for box in track.annotations
-            ]
-        )
+        semis = semi_annotate_3d(track.annotations, cam, 1.65)
         states = np.zeros((8, len(track.annotations)))
         states[[0, 2, 4, 6, 7]] = semis.T
         projected = project_state(model, states)[[0, 2, 4, 6]].T

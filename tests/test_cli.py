@@ -125,6 +125,18 @@ def test_run_invalid_estimate_exits_two(tmp_path, capsys):
     assert (out / "WIDE_id1_summary.csv").is_file()
 
 
+def test_run_rejects_negative_trials(synthetic_sequence, tmp_path, capsys):
+    # The sequence has a detection file, so a negative count used to fall
+    # back to a real-detection run.
+    args = ["run"] + seq_args(synthetic_sequence, tmp_path)
+    assert main(args + ["--trials", "-3"]) == 1
+    assert "--trials >= 0" in capsys.readouterr().err
+    config = tmp_path / "run.ini"
+    config.write_text("[sim]\ntrials = -3\n", encoding="utf-8")
+    assert main(args + ["--config", str(config)]) == 1
+    assert "--trials >= 0" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_filter(synthetic_sequence, tmp_path, capsys):
     args = ["run"] + seq_args(synthetic_sequence, tmp_path) + ["--filter", "ekf"]
     assert main(args) == 1
@@ -202,6 +214,14 @@ def test_simulate_requires_trials(synthetic_sequence, tmp_path, capsys):
 # ----------------------------------------------------------------- evaluate
 
 
+def read_metric_columns(path: Path) -> list[tuple[str, str, str, str]]:
+    with open(path, newline="") as handle:
+        return [
+            (row["frame"], row["rmse"], row["anees"], row["n_trials"])
+            for row in csv.DictReader(handle)
+        ]
+
+
 @pytest.mark.parametrize(
     "extra,n_trials",
     [([], 1), (["--trials", "4", "--seed", "3"], 4)],
@@ -215,23 +235,67 @@ def test_evaluate_matches_run_summary(
     summary = read_summary(out / "SYN-01_id1_summary.csv")
     capsys.readouterr()
 
+    # Every estimates file of the run, with the (filter, space) it scores.
     for estimates, key in (
-        ("SYN-01_id1_kf2d_estimates_2d.csv", ("kf2d", "bb")),
-        ("SYN-01_id1_ukf3d_estimates_3d.csv", ("ukf3d", "3d")),
-        ("SYN-01_id1_ukf3d_estimates_bb.csv", ("ukf3d", "bb")),
+        ("kf2d_estimates_2d", ("kf2d", "bb")),
+        ("kf2d_estimates_bb", ("kf2d", "bb")),
+        ("bot_estimates_bot", ("bot", "bb")),
+        ("bot_estimates_bb", ("bot", "bb")),
+        ("ukf3d_estimates_3d", ("ukf3d", "3d")),
+        ("ukf3d_estimates_bb", ("ukf3d", "bb")),
     ):
         args = ["evaluate"] + seq_args(synthetic_sequence, out)
-        args += ["--estimates", str(out / estimates)]
+        args += ["--estimates", str(out / f"SYN-01_id1_{estimates}.csv")]
         assert main(args) == 0
         assert f"trials={n_trials}" in capsys.readouterr().out
-        metrics_path = out / f"{Path(estimates).stem}_metrics.csv"
-        assert metrics_path.is_file()
-        with open(metrics_path, newline="") as handle:
-            values = [float(row["anees"]) for row in csv.DictReader(handle)]
-        recomputed = float(np.median(values))
+        columns = read_metric_columns(out / f"SYN-01_id1_{estimates}_metrics.csv")
+        name, space = key
+        assert columns == read_metric_columns(
+            out / f"SYN-01_id1_{name}_metrics_{space}.csv"
+        )
+        recomputed = float(np.median([float(row[2]) for row in columns]))
         assert recomputed == pytest.approx(
             float(summary[key]["median_anees"]), rel=1e-12
         )
+
+
+_BB_COLUMNS = ",".join(
+    ["mean_x", "mean_y", "mean_w", "mean_h"]
+    + [f"cov_{i}_{j}" for i in range(4) for j in range(i, 4)]
+)
+_BB_VALUES = "900,600,80,160," + ",".join(
+    "1" if i == j else "0" for i in range(4) for j in range(i, 4)
+)
+
+
+@pytest.mark.parametrize(
+    "prefix,rows",
+    [
+        ("trial,k,frame", ["0,0,1"]),
+        ("trial,frame,space", ["0,1,bb"]),
+        ("trial,k,frame,space", ["0,0,1,3d", "0,1,2,3d"]),
+        ("trial,k,frame,space", ["0,0,1,xy"]),
+        ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,3d"]),
+        ("trial,k,frame,space", []),
+    ],
+    ids=[
+        "no-space-column",
+        "no-k-column",
+        "space-width-mismatch",
+        "unknown-space",
+        "mixed-spaces",
+        "no-rows",
+    ],
+)
+def test_evaluate_rejects_malformed_estimates(
+    synthetic_sequence, tmp_path, capsys, prefix, rows
+):
+    path = tmp_path / "bad_estimates.csv"
+    lines = [f"{prefix},{_BB_COLUMNS}"] + [f"{row},{_BB_VALUES}" for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["evaluate"] + seq_args(synthetic_sequence, tmp_path)
+    assert main(args + ["--estimates", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_evaluate_requires_single_track(synthetic_sequence, tmp_path, capsys):
@@ -276,6 +340,23 @@ def test_config_file_and_flag_precedence(synthetic_sequence, tmp_path, capsys):
     out_flag = tmp_path / "from_flag"
     assert main(args + ["--filter", "kf2d", "--out", str(out_flag)]) == 0
     assert (out_flag / "SYN-01_id1_summary.csv").is_file()
+
+
+def test_invalid_camera_config_exits_1(synthetic_sequence, tmp_path, capsys):
+    # evaluate builds the camera for every estimates file, so a bad value
+    # is an error there too, not a traceback.
+    config = tmp_path / "camera.ini"
+    config.write_text("[camera]\nfocal_length_m = -1\n", encoding="utf-8")
+    out = tmp_path / "results"
+    assert main(["run"] + seq_args(synthetic_sequence, out) + ["--filter", "kf2d"]) == 0
+    for command, extra in (
+        ("run", []),
+        ("evaluate", ["--estimates", str(out / "SYN-01_id1_kf2d_estimates_bb.csv")]),
+    ):
+        args = [command, "--config", str(config)] + seq_args(synthetic_sequence, out)
+        capsys.readouterr()
+        assert main(args + extra) == 1
+        assert "error: invalid camera: focal length" in capsys.readouterr().err
 
 
 def test_unknown_config_key_fails(synthetic_sequence, tmp_path, capsys):

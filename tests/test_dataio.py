@@ -321,15 +321,18 @@ def test_attach_detections_tracks_compete():
 
 
 def test_semi_annotation_reference_values():
-    semi = semi_annotate_3d(BoundingBox(960.0, 540.0, 100.0, 165.0), CAM, 1.65)
-    assert semi == pytest.approx((0.0, 0.0, 10.0, 1.0, 1.65), rel=1e-12)
+    semi = semi_annotate_3d([BoundingBox(960.0, 540.0, 100.0, 165.0)], CAM, 1.65)
+    assert semi.shape == (1, 5)
+    assert semi[0] == pytest.approx((0.0, 0.0, 10.0, 1.0, 1.65), rel=1e-12)
 
 
 def test_semi_annotation_off_center():
-    semi = semi_annotate_3d(BoundingBox(1060.0, 640.0, 82.5, 165.0), CAM, 1.65)
-    assert semi.x == pytest.approx(1.0, rel=1e-12)
-    assert semi.y == pytest.approx(1.0, rel=1e-12)
-    assert semi.w == pytest.approx(0.825, rel=1e-12)
+    x, y, _, w, _ = semi_annotate_3d(
+        [BoundingBox(1060.0, 640.0, 82.5, 165.0)], CAM, 1.65
+    )[0]
+    assert x == pytest.approx(1.0, rel=1e-12)
+    assert y == pytest.approx(1.0, rel=1e-12)
+    assert w == pytest.approx(0.825, rel=1e-12)
 
 
 def test_semi_annotation_projects_back_exactly():
@@ -337,22 +340,25 @@ def test_semi_annotation_projects_back_exactly():
 
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        box = BoundingBox(
+    boxes = [
+        BoundingBox(
             rng.uniform(100, 1800),
             rng.uniform(300, 1000),
             rng.uniform(20, 200),
             rng.uniform(40, 400),
         )
-        semi = semi_annotate_3d(box, CAM, 1.65)
-        state = np.array([semi.x, 0.0, semi.y, 0.0, semi.z, 0.0, semi.w, semi.h])
-        projected = project_state(model, state)[[0, 2, 4, 6]]
-        assert projected == pytest.approx(box.as_vector(), rel=1e-12, abs=1e-9)
+        for _ in range(100)
+    ]
+    states = np.zeros((8, len(boxes)))
+    states[[0, 2, 4, 6, 7]] = semi_annotate_3d(boxes, CAM, 1.65).T
+    projected = project_state(model, states)[[0, 2, 4, 6]].T
+    for box, image in zip(boxes, projected):
+        assert image == pytest.approx(box.as_vector(), rel=1e-12, abs=1e-9)
 
 
 def test_semi_annotation_rejects_bad_heights():
     box = BoundingBox(0.0, 0.0, 10.0, 20.0)
     with pytest.raises(NonPositiveHeight):
-        semi_annotate_3d(box, CAM, 0.0)
+        semi_annotate_3d([box], CAM, 0.0)
     with pytest.raises(NonPositiveHeight):
-        semi_annotate_3d(BoundingBox(0.0, 0.0, 10.0, 0.0), CAM, 1.65)
+        semi_annotate_3d([box, BoundingBox(0.0, 0.0, 10.0, 0.0)], CAM, 1.65)

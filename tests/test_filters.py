@@ -67,8 +67,9 @@ def random_spd(rng, n, scale=1.0):
 
 
 def test_estimate_coerces_and_validates():
-    est = GaussianEstimate([1.0, 2.0], [[1.0, 0.0], [0.0, 2.0]], frame=3)
-    assert est.dim == 2 and est.frame == 3 and est.space == "2d"
+    est = GaussianEstimate([1.0, 2.0], [[1.0, 0.0], [0.0, 2.0]])
+    assert est.dim == 2
+    assert [f.name for f in dataclasses.fields(est)] == ["mean", "cov"]
     assert isinstance(est.mean, np.ndarray) and est.cov.dtype == float
 
 
@@ -313,7 +314,6 @@ def test_kf_predict_oracle():
     pred = kf_predict(est, f, 0.1 * np.eye(2))
     assert pred.mean == pytest.approx([3.0, 2.0])
     assert pred.cov == pytest.approx(np.array([[2.1, 1.0], [1.0, 1.1]]), rel=1e-15)
-    assert pred.frame == est.frame + 1
 
 
 def test_kf_predict_offset():
@@ -330,11 +330,10 @@ def test_kf_predict_rejects_mismatch():
 
 def test_kf_update_scalar_oracle():
     # P=1, R=1: S=2, K=1/2, posterior mean 1, covariance 1/2.
-    pred = GaussianEstimate(np.zeros(1), np.ones((1, 1)), frame=4)
+    pred = GaussianEstimate(np.zeros(1), np.ones((1, 1)))
     post = kf_update(pred, np.array([2.0]), np.ones((1, 1)), np.ones((1, 1)))
     assert post.mean == pytest.approx([1.0], rel=1e-15)
     assert post.cov == pytest.approx(np.array([[0.5]]), rel=1e-15)
-    assert post.frame == 4
 
 
 def test_kf_update_matches_information_form():
@@ -401,9 +400,8 @@ def test_kf_update_rejects_mismatch():
 def test_init_2d_oracle():
     r = measurement_noise(1080.0)
     z0 = np.array([960.0, 540.0, 82.5, 165.0])
-    est = init_2d(z0, r, frame=7)
+    est = init_2d(z0, r)
     assert est.mean == pytest.approx([960, 0, 540, 0, 82.5, 0, 165, 0])
-    assert est.frame == 7 and est.space == "2d"
     # Box height is 10% of the nominal body height's 1650 px at 1 m ...
     # here 165 px / 1.65 m puts the apparent scale at 100 px/m, so the
     # 3 m/s cap becomes a 100 px/s sigma and the 0.3 m/s cap 10 px/s.
@@ -435,9 +433,8 @@ def test_init_2d_rejects_flat_box():
 
 
 def test_bot_init_oracle():
-    est = bot_init(np.array([960.0, 540.0, 100.0, 200.0]), frame=2)
+    est = bot_init(np.array([960.0, 540.0, 100.0, 200.0]))
     assert est.mean == pytest.approx([960, 0, 540, 0, 100, 0, 200, 0])
-    assert est.frame == 2 and est.space == "bot"
     expected = [100.0, 39.0625, 400.0, 156.25, 100.0, 39.0625, 400.0, 156.25]
     assert np.diag(est.cov) == pytest.approx(expected, rel=1e-15)
     assert np.count_nonzero(est.cov - np.diag(np.diag(est.cov))) == 0
@@ -455,19 +452,17 @@ def test_bot_predict_sources_noise_from_filtered_extents():
     est = GaussianEstimate(
         np.array([10.0, 1.0, 20.0, 2.0, 100.0, 0.0, 200.0, 0.0]),
         np.zeros((8, 8)),
-        space="bot",
     )
     pred = bot_predict(est)
     assert pred.mean == pytest.approx([11, 1, 22, 2, 100, 0, 200, 0])
     assert pred.cov == pytest.approx(bot_process_noise(100.0, 200.0), rel=1e-15)
-    assert pred.frame == est.frame + 1
 
 
 def test_bot_update_matches_manual_algebra():
     rng = np.random.default_rng(61)
     mean = np.array([400.0, 2.0, 300.0, -1.0, 80.0, 0.5, 160.0, 0.2])
     cov = random_spd(rng, 8, scale=4.0)
-    pred = GaussianEstimate(mean, cov, frame=5, space="bot")
+    pred = GaussianEstimate(mean, cov)
     z = np.array([404.0, 297.0, 83.0, 158.0])
     post = bot_update(pred, z)
 
@@ -477,7 +472,6 @@ def test_bot_update_matches_manual_algebra():
     k = cov @ h.T @ np.linalg.inv(s)
     assert post.mean == pytest.approx(mean + k @ (z - h @ mean), rel=1e-12)
     assert post.cov == pytest.approx(cov - k @ s @ k.T, rel=1e-9, abs=1e-9)
-    assert post.frame == 5
 
 
 def test_bot_cycle_stays_positive_semidefinite():
@@ -520,7 +514,6 @@ def test_ukf_predict_is_linear_model_step():
     est = GaussianEstimate(
         np.array([0.0, 1.0, 0.0, 0.0, 10.0, -0.5, 0.85, 1.65]),
         np.eye(8) * 0.01,
-        space="3d",
     )
     pred = ukf_predict(est, model)
     direct = kf_predict(est, model.F, model.Q, model.m)
@@ -531,8 +524,7 @@ def test_ukf_predict_is_linear_model_step():
 def test_init_3d_structure():
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
     z0 = np.array([960.0, 540.0, 85.0, 165.0])
-    est = init_3d(z0, model, frame=3)
-    assert est.frame == 3 and est.space == "3d"
+    est = init_3d(z0, model)
     # Extents start at the stationary means with the stationary spreads.
     assert est.mean[6] == 0.85 and est.mean[7] == 1.65
     assert est.cov[6, 6] == pytest.approx(0.15**2, rel=1e-12)
@@ -575,9 +567,8 @@ def test_init_3d_rejects_degenerate_boxes():
 def test_project_estimate_zero_covariance_is_projection():
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
     state = np.array([0.5, 0.0, 0.9, 0.0, 8.0, 0.0, 0.85, 1.65])
-    est = GaussianEstimate(state, np.zeros((8, 8)), frame=6, space="3d")
+    est = GaussianEstimate(state, np.zeros((8, 8)))
     box = project_estimate(est, model)
-    assert box.space == "bb" and box.frame == 6
     assert box.mean == pytest.approx(project_state(model, state)[[0, 2, 4, 6]],
                                      rel=1e-14)
     assert box.cov == pytest.approx(np.zeros((4, 4)), abs=1e-18)
@@ -586,7 +577,7 @@ def test_project_estimate_zero_covariance_is_projection():
 def test_project_estimate_spread_has_no_detector_noise():
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
     state = np.array([0.0, 0.0, 0.9, 0.0, 12.0, 0.0, 0.85, 1.65])
-    est = GaussianEstimate(state, 0.01 * np.eye(8), space="3d")
+    est = GaussianEstimate(state, 0.01 * np.eye(8))
     box = project_estimate(est, model)
     sigma = unscented_transform(est.mean, est.cov, bb_measurement_fn(model))
     assert box.cov == pytest.approx(sigma.cov_y, rel=1e-12)
@@ -596,7 +587,7 @@ def test_project_estimate_spread_has_no_detector_noise():
 def test_ukf_update_pulls_mean_toward_measurement():
     model = build_model_3d(1.0 / 30.0, CAM, 1080.0)
     state = np.array([0.0, 0.0, 0.9, 0.0, 10.0, 0.0, 0.85, 1.65])
-    pred = GaussianEstimate(state, 0.05 * np.eye(8), space="3d")
+    pred = GaussianEstimate(state, 0.05 * np.eye(8))
     z = project_state(model, state)[[0, 2, 4, 6]] + np.array([8.0, -6.0, 2.0, 4.0])
     post = ukf_update(pred, z, model)
     before = project_state(model, state)[[0, 2, 4, 6]]
@@ -608,10 +599,9 @@ def test_ukf_update_pulls_mean_toward_measurement():
 def test_linear_box_estimate_selects_measured_rows():
     cov = np.arange(64.0).reshape(8, 8)
     cov = (cov + cov.T) / 2 + 64 * np.eye(8)
-    est = GaussianEstimate(np.arange(8.0), cov, frame=9, space="2d")
+    est = GaussianEstimate(np.arange(8.0), cov)
     box = linear_box_estimate(est)
     h = measurement_matrix()
-    assert box.space == "bb" and box.frame == 9
     assert np.array_equal(box.mean, [0.0, 2.0, 4.0, 6.0])
     assert np.array_equal(box.cov, h @ cov @ h.T)
 

@@ -9,12 +9,18 @@ medians below were checked to be stable across seeds before freezing
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from monotrack import pipeline
 from monotrack.dataio import BoundingBox, TrackSequence
 from monotrack.exceptions import ConfigError
-from monotrack.filters import GaussianEstimate, kf_predict, ukf_predict
+from monotrack.filters import GaussianEstimate, kf_predict, kf_update, ukf_predict
 from monotrack.pipeline import (
     FILTER_NAMES,
     FilterRun,
@@ -72,10 +78,7 @@ def test_run_filter_covers_every_frame(synthetic_sequence, synthetic_bundle, nam
     run = run_filter(track, real_detection_vectors(track), synthetic_bundle, name)
     assert run.failure is None
     assert run.frames == track.frames
-    assert all(est.frame == k for est, k in zip(run.native, run.frames))
-    assert {est.space for est in run.boxes} == {"bb"}
-    native_space = {"kf2d": "2d", "bot": "bot", "ukf3d": "3d"}[name]
-    assert {est.space for est in run.native} == {native_space}
+    assert len(run.native) == len(run.boxes) == len(track.frames)
 
 
 def test_dropped_frames_are_pure_predictions(synthetic_sequence, synthetic_bundle):
@@ -104,7 +107,13 @@ def test_annotation_gaps_advance_by_one_step_per_frame():
     run = run_filter(track, detections, bundle, "kf2d")
     assert run.frames == [0, 1, 4]
     # Three prediction steps bridge the gap from frame 1 to frame 4.
-    assert [est.frame for est in run.native] == [0, 1, 4]
+    m2 = bundle.model2d
+    expected = run.native[1]
+    for _ in range(3):
+        expected = kf_predict(expected, m2.F, m2.Q)
+    expected = kf_update(expected, detections[2], m2.H, m2.R)
+    assert run.native[2].mean == pytest.approx(expected.mean, rel=1e-15)
+    assert run.native[2].cov == pytest.approx(expected.cov, rel=1e-15)
 
 
 def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
@@ -141,6 +150,55 @@ def test_invalid_estimate_stops_only_that_trial(synthetic_bundle):
     assert result.runs["kf2d"][0].failure is None
     failure = result.runs["bot"][0].failure
     assert failure == "InvalidEstimate: estimate has non-finite entries"
+
+
+# --------------------------------------------------------------- trace seam
+
+# The functions each filter's steps call through ``pipeline``'s names, in
+# the order init, predict, update, box.
+STEP_FUNCTIONS = {
+    "kf2d": ("init_2d", "kf_predict", "kf_update", "linear_box_estimate"),
+    "bot": ("bot_init", "bot_predict", "bot_update", "linear_box_estimate"),
+    "ukf3d": ("init_3d", "ukf_predict", "ukf_update", "project_estimate"),
+}
+
+
+def test_traced_functions_exist():
+    # Loaded as a plain module: Tracer.install would rebind the package
+    # for the rest of the session.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, entries in tracer.LAYERS.values():
+        module = importlib.import_module(module_name)
+        for _, attribute in entries:
+            owner_name, _, leaf = attribute.rpartition(".")
+            owner = vars(module)[owner_name] if owner_name else module
+            assert leaf in vars(owner), f"{module_name}.{attribute}"
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_filter_steps_call_rebound_module_names(monkeypatch, name):
+    # A tracer wraps pipeline's bindings; a table holding the function
+    # objects themselves would bypass the wrappers.
+    calls: Counter[str] = Counter()
+    for step in STEP_FUNCTIONS[name]:
+        original = getattr(pipeline, step)
+
+        def counting(*args, _original=original, _step=step, **kwargs):
+            calls[_step] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, step, counting)
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0, 1, 3], [box] * 3)
+    bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
+    run = run_filter(track, [box.as_vector()] * 3, bundle, name)
+    assert run.failure is None
+    # One init, three predictions (one into frame 1, two across the
+    # gap), two updates and a box for each of the three frames.
+    assert [calls[step] for step in STEP_FUNCTIONS[name]] == [1, 3, 2, 3]
 
 
 # ---------------------------------------------------------------- run_track
@@ -245,18 +303,15 @@ def test_estimates_csv_round_trips_exactly(
     result = run_track(track, synthetic_bundle, ("ukf3d",), 1.65, cfg)
     write_track_outputs(tmp_path, "SYN-01", result)
     runs = result.runs["ukf3d"]
-    space, rows = _read_estimates_csv(tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv")
+    space, trials = _read_estimates_csv(
+        tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv"
+    )
     assert space == "3d"
-    assert len(rows) == sum(len(run.frames) for run in runs)
-    expected = [
-        (trial, frame, est)
-        for trial, run in enumerate(runs)
-        for frame, est in zip(run.frames, run.native)
-    ]
-    for (trial, k, mean, cov), (exp_trial, exp_frame, est) in zip(rows, expected):
-        assert (trial, k) == (exp_trial, exp_frame)
-        assert np.array_equal(mean, est.mean)
-        assert np.array_equal(cov, est.cov)
+    assert len(trials) == len(runs)
+    for (frames, means, covs), run in zip(trials, runs):
+        assert frames == run.frames
+        assert np.array_equal(means, [est.mean for est in run.native])
+        assert np.array_equal(covs, [est.cov for est in run.native])
 
 
 def test_estimates_csv_round_trips_awkward_values(tmp_path):
@@ -281,7 +336,7 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
     ]
     runs = [
         FilterRun("kf2d", frames=[0, 3], boxes=[
-            GaussianEstimate(m, c, space="bb") for m, c in zip(means, covs)
+            GaussianEstimate(m, c) for m, c in zip(means, covs)
         ]),
         FilterRun("kf2d", failure="stopped"),
         FilterRun("kf2d", frames=[3], boxes=[GaussianEstimate(means[1], covs[1])]),
@@ -292,13 +347,14 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
     write_estimates_csv(path, track, runs, "bb")
     lines = path.read_text().splitlines()
     assert lines[1].startswith("0,0,7,bb,-0,10000000000000000,0.0000")
-    space, rows = _read_estimates_csv(path)
+    space, trials = _read_estimates_csv(path)
     assert space == "bb"
-    expected = [(0, 0, 0), (0, 3, 1), (2, 3, 1)]
-    assert [(trial, k) for trial, k, _, _ in rows] == [e[:2] for e in expected]
-    for (_, _, mean, cov), (_, _, index) in zip(rows, expected):
-        assert mean.tobytes() == means[index].tobytes()
-        assert cov.tobytes() == covs[index].tobytes()
+    # Trials 0 and 2 have rows; trial 1 stopped before writing any.
+    expected = [([0, 3], [0, 1]), ([3], [1])]
+    assert [frames for frames, _, _ in trials] == [e[0] for e in expected]
+    for (_, read_means, read_covs), (_, indices) in zip(trials, expected):
+        assert read_means.tobytes() == np.stack([means[i] for i in indices]).tobytes()
+        assert read_covs.tobytes() == np.stack([covs[i] for i in indices]).tobytes()
 
 
 def test_outputs_are_deterministic(tmp_path, synthetic_sequence, synthetic_bundle):
