@@ -62,7 +62,6 @@ from .models import (
     measurement_noise,
     ncv_discretize,
     project_state,
-    psd_from_max_acceleration,
 )
 from .pipeline import ModelBundle, build_bundle, run_filter, run_track
 from .sim import SimConfig, simulate_detections

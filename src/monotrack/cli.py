@@ -28,7 +28,7 @@ from .config import (
     OUTPUT_DIR_ENV,
     RunConfig,
     apply_config_file,
-    parse_filter_names,
+    apply_setting,
     read_config_file,
     resolve_sequence,
 )
@@ -62,27 +62,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# The flags that set a config key's fields: their key and help.  A flag's
+# text goes through its key's parser.
+_KEY_FLAGS = {
+    "--seq": ("run", "sequence", "MOT sequence directory (seqinfo.ini, gt/, det/)"),
+    "--gt": ("run", "gt", "annotation file (MOT gt format)"),
+    "--det": ("run", "det", "detection file (MOT det format)"),
+    "--frame-rate": ("run", "frame_rate", "frames per second"),
+    "--gamma": ("run", "gamma", "image scale (default: min(W, H))"),
+    "--track-id": ("run", "track_ids", "comma-separated object ids (default: all)"),
+    "--iou-threshold": ("run", "iou_threshold", "association threshold"),
+    "--out": ("run", "output_dir", "output directory"),
+    "--trials": ("sim", "trials", "Monte Carlo trials"),
+    "--seed": ("sim", "seed", "master seed"),
+    "--dropout": ("sim", "dropout", "simulated detection dropout: real or none"),
+    "--filter": ("filters", "names", "comma-separated filters (kf2d, bot, ukf3d)"),
+    "--guessed-height": ("run", "guessed_height_m", "body height for 3D truth, m"),
+}
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, help=_KEY_FLAGS[flag][2])
+
+
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seq", help="MOT sequence directory (seqinfo.ini, gt/, det/)")
-    parser.add_argument("--gt", help="annotation file (MOT gt format)")
-    parser.add_argument("--det", help="detection file (MOT det format)")
+    _add_key_flags(parser, "--seq", "--gt", "--det")
     parser.add_argument("--name", help="sequence name used in output file names")
     parser.add_argument("--image-size", help="image size as WIDTHxHEIGHT")
-    parser.add_argument("--frame-rate", type=float, help="frames per second")
-    parser.add_argument("--gamma", type=float, help="image scale (default: min(W, H))")
-    parser.add_argument(
-        "--track-id", help="comma-separated object ids (default: all tracks)"
-    )
-    parser.add_argument("--iou-threshold", type=float, help="association threshold")
-    parser.add_argument("--out", help="output directory")
-
-
-def _add_sim_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument(
-        "--dropout", choices=("real", "none"), help="simulated detection availability"
+    _add_key_flags(
+        parser, "--frame-rate", "--gamma", "--track-id", "--iou-threshold", "--out"
     )
 
 
@@ -95,18 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="filter tracks and write estimates and metrics")
     _add_input_args(run)
-    _add_sim_args(run)
-    run.add_argument("--filter", help="comma-separated filters (kf2d, bot, ukf3d)")
-    run.add_argument("--guessed-height", type=float, help="body height for 3D truth, m")
+    _add_key_flags(
+        run, "--trials", "--seed", "--dropout", "--filter", "--guessed-height"
+    )
 
     simulate = sub.add_parser("simulate", help="write simulated detection files")
     _add_input_args(simulate)
-    _add_sim_args(simulate)
+    _add_key_flags(simulate, "--trials", "--seed", "--dropout")
 
     evaluate = sub.add_parser("evaluate", help="recompute metrics from an estimates CSV")
     _add_input_args(evaluate)
     evaluate.add_argument("--estimates", required=True, help="estimates CSV from run")
-    evaluate.add_argument("--guessed-height", type=float, help="body height for 3D truth, m")
+    _add_key_flags(evaluate, "--guessed-height")
 
     inspect = sub.add_parser("inspect", help="summarize the parsed tracks")
     _add_input_args(inspect)
@@ -114,52 +124,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the sequence's seqinfo.ini,
+    then flags; the output directory takes MONOTRACK_OUT before --out."""
     cfg = RunConfig()
     if args.config:
         apply_config_file(cfg, read_config_file(args.config))
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
-        cfg.output_dir = Path(env_out)
-    if args.seq:
-        cfg.seq_dir = Path(args.seq)
-    if args.gt:
-        cfg.gt_path = Path(args.gt)
-    if args.det:
-        cfg.det_path = Path(args.det)
+        apply_setting(cfg, "run", "output_dir", env_out)
+    flags = {
+        (section, key): raw
+        for flag, (section, key, _) in _KEY_FLAGS.items()
+        if (raw := getattr(args, flag[2:].replace("-", "_"), None)) is not None
+    }
+    if args.image_size is not None:
+        width, x, height = args.image_size.lower().partition("x")
+        if not x:
+            raise ConfigError(
+                f"--image-size must be WIDTHxHEIGHT, got {args.image_size!r}"
+            )
+        flags["run", "image_width"] = width
+        flags["run", "image_height"] = height
+    if ("run", "sequence") in flags:
+        apply_setting(cfg, "run", "sequence", flags.pop(("run", "sequence")))
     resolve_sequence(cfg)
     if args.name:
         cfg.seq_name = args.name
-    if args.image_size:
-        parts = args.image_size.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError(f"--image-size must be WIDTHxHEIGHT, got {args.image_size!r}")
-        try:
-            cfg.image_size = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"--image-size must be integers: {args.image_size!r}") from exc
-    if args.frame_rate is not None:
-        cfg.frame_rate = args.frame_rate
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-    if args.track_id:
-        try:
-            cfg.track_ids = tuple(int(p) for p in str(args.track_id).split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--track-id must be integers: {args.track_id!r}") from exc
-    if args.iou_threshold is not None:
-        cfg.iou_threshold = args.iou_threshold
-    if args.out:
-        cfg.output_dir = Path(args.out)
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "dropout", None) is not None:
-        cfg.dropout = args.dropout
-    if getattr(args, "filter", None):
-        cfg.filters = parse_filter_names(args.filter)
-    if getattr(args, "guessed_height", None) is not None:
-        cfg.guessed_height_m = args.guessed_height
+    for (section, key), raw in flags.items():
+        apply_setting(cfg, section, key, raw)
     return cfg
 
 

@@ -1,32 +1,14 @@
-"""Run configuration: flat key-value files with one section per module.
+"""Run configuration: INI files with one section per module, and the
+command-line flags that set the same fields.
 
-A config file is INI-style text; every key has a built-in default, named
-after the symbol it sets, so an empty file is a valid pedestrian setup:
-
-    [camera]
-    focal_length_m = 1e-3
-    pixel_size_m = 1e-6
-    # principal_point_px = 960, 540   (default: image center)
-
-    [models]
-    q_x_dot = 0.011
-    tau_h = 4.0
-    ...
-
-    [filters]
-    names = kf2d, bot, ukf3d
-    mean_height_m = 1.65
-
-    [sim]
-    trials = 200
-    seed = 7
-    dropout = real
-
-    [run]
-    sequence = /data/MOT17/train/MOT17-02-FRCNN
-    track_ids = 2
-    guessed_height_m = 1.66
-    output_dir = results
+Every key has a built-in default, named after the symbol it sets, so an
+empty file is a valid pedestrian setup; README's "Config file" section
+shows one.  Each key is declared once, in ``SETTINGS``: the parser of
+its text and the ``RunConfig`` fields it sets.  To add a setting, add its
+field to ``RunConfig`` and its entry to ``SETTINGS``.  ``read_config_file``
+accepts the keys of that table, and ``apply_setting`` parses a value from
+a file, the environment or a flag alike; a bad value raises
+``ConfigError`` as ``[section] key: reason``.
 
 Command-line flags override file values; the MONOTRACK_OUT environment
 variable overrides the configured output directory (flags still win).
@@ -36,8 +18,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from .camera import CameraIntrinsics
 from .exceptions import ConfigError
@@ -47,28 +31,14 @@ from .pipeline import FILTER_NAMES, ModelBundle, build_bundle
 
 OUTPUT_DIR_ENV = "MONOTRACK_OUT"
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(PedestrianParams)}
-_SCHEMA: dict[str, set[str]] = {
-    "camera": {"focal_length_m", "pixel_size_m", "principal_point_px"},
-    "models": _MODEL_KEYS | {"zeta_r", "zeta_rdot"},
-    "filters": {"names", "mean_height_m", "max_speed_mps", "max_extent_rate_mps"},
-    "sim": {"trials", "seed", "dropout"},
-    "run": {
-        "sequence",
-        "gt",
-        "det",
-        "image_width",
-        "image_height",
-        "frame_rate",
-        "gamma",
-        "guessed_height_m",
-        "track_ids",
-        "iou_threshold",
-        "class_ids",
-        "min_visibility",
-        "output_dir",
-    },
-}
+
+@contextmanager
+def _invalid(what: str) -> Iterator[None]:
+    """Turn a parser's or a record's ``ValueError`` into ``ConfigError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 @dataclass
@@ -101,7 +71,7 @@ class RunConfig:
     output_dir: Path = Path("results")
 
     def camera(self) -> CameraIntrinsics:
-        try:
+        with _invalid("invalid camera"):
             if self.principal_point_px is None:
                 return CameraIntrinsics.for_image(
                     self.image_size, self.focal_length_m, self.pixel_size_m
@@ -109,58 +79,112 @@ class RunConfig:
             return CameraIntrinsics(
                 self.focal_length_m, self.pixel_size_m, self.principal_point_px
             )
-        except ValueError as exc:
-            raise ConfigError(f"invalid camera: {exc}") from exc
 
     def bundle(self) -> ModelBundle:
-        return build_bundle(
-            self.image_size,
-            self.frame_rate,
-            cam=self.camera(),
-            gamma=self.gamma,
-            params=self.params,
-            bot_params=self.bot_params,
-            init2d=self.init2d,
-            init3d=self.init3d,
-        )
+        cam = self.camera()
+        with _invalid("invalid model"):
+            return build_bundle(
+                self.image_size,
+                self.frame_rate,
+                cam=cam,
+                gamma=self.gamma,
+                params=self.params,
+                bot_params=self.bot_params,
+                init2d=self.init2d,
+                init3d=self.init3d,
+            )
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _float(raw: str) -> float:
     try:
         return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _int(raw: str) -> int:
     try:
         return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _parse_pair(section: str, key: str, raw: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(_int(p.strip()) for p in raw.split(",") if p.strip())
+
+
+def _point(raw: str) -> tuple[float, float]:
+    parts = raw.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"[{section}] {key}: expected two comma-separated values")
-    return (
-        _parse_float(section, key, parts[0]),
-        _parse_float(section, key, parts[1]),
-    )
+        raise ValueError(f"expected two comma-separated values: {raw!r}")
+    return _float(parts[0].strip()), _float(parts[1].strip())
 
 
-def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    return tuple(_parse_int(section, key, p) for p in parts)
-
-
-def parse_filter_names(raw: str) -> tuple[str, ...]:
-    """Filter names from a comma-separated list, each one checked."""
+def _filter_names(raw: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in raw.split(",") if p.strip())
     for name in names:
         if name not in FILTER_NAMES:
-            raise ConfigError(f"unknown filter {name!r}")
+            raise ValueError(f"unknown filter {name!r}")
     return names
+
+
+def _dropout(raw: str) -> str:
+    if raw not in ("real", "none"):
+        raise ValueError(f"expected 'real' or 'none', got {raw!r}")
+    return raw
+
+
+# (section, key) -> (parser of the text, the RunConfig fields it sets).
+# A field ``name.attr`` is one field of a record, or one index of a
+# tuple, that RunConfig holds; several fields are space-separated.
+SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
+    ("camera", "focal_length_m"): (_float, "focal_length_m"),
+    ("camera", "pixel_size_m"): (_float, "pixel_size_m"),
+    ("camera", "principal_point_px"): (_point, "principal_point_px"),
+    **{
+        ("models", f.name): (_float, f"params.{f.name}")
+        for f in dataclasses.fields(PedestrianParams)
+    },
+    ("models", "zeta_r"): (_float, "bot_params.zeta_r"),
+    ("models", "zeta_rdot"): (_float, "bot_params.zeta_rdot"),
+    ("filters", "names"): (_filter_names, "filters"),
+    ("filters", "mean_height_m"): (_float, "init2d.mean_height_m"),
+    ("filters", "max_speed_mps"): (_float, "init2d.max_speed_mps init3d.max_speed_mps"),
+    ("filters", "max_extent_rate_mps"): (_float, "init2d.max_extent_rate_mps"),
+    ("sim", "trials"): (_int, "trials"),
+    ("sim", "seed"): (_int, "seed"),
+    ("sim", "dropout"): (_dropout, "dropout"),
+    ("run", "sequence"): (Path, "seq_dir"),
+    ("run", "gt"): (Path, "gt_path"),
+    ("run", "det"): (Path, "det_path"),
+    ("run", "image_width"): (_int, "image_size.0"),
+    ("run", "image_height"): (_int, "image_size.1"),
+    ("run", "frame_rate"): (_float, "frame_rate"),
+    ("run", "gamma"): (_float, "gamma"),
+    ("run", "guessed_height_m"): (_float, "guessed_height_m"),
+    ("run", "track_ids"): (lambda raw: _ints(raw) or None, "track_ids"),
+    ("run", "iou_threshold"): (_float, "iou_threshold"),
+    ("run", "class_ids"): (lambda raw: frozenset(_ints(raw)), "class_ids"),
+    ("run", "min_visibility"): (_float, "min_visibility"),
+    ("run", "output_dir"): (Path, "output_dir"),
+}
+
+
+def apply_setting(cfg: RunConfig, section: str, key: str, raw: str) -> None:
+    """Parse one key's text and set its fields (in place)."""
+    parse, fields = SETTINGS[section, key]
+    with _invalid(f"[{section}] {key}"):
+        value = parse(raw)
+        for field in fields.split():
+            name, _, attr = field.partition(".")
+            held = getattr(cfg, name)
+            if not attr:
+                held = value
+            elif isinstance(held, tuple):
+                held = tuple(value if str(i) == attr else v for i, v in enumerate(held))
+            else:
+                held = dataclasses.replace(held, **{attr: value})
+            setattr(cfg, name, held)
 
 
 def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
@@ -173,12 +197,13 @@ def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    sections = {section for section, _ in SETTINGS}
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in SETTINGS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
         out[section] = dict(parser[section])
     return out
@@ -186,82 +211,9 @@ def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
 
 def apply_config_file(cfg: RunConfig, file_cfg: dict[str, dict[str, str]]) -> None:
     """Fold file values into a config record (in place)."""
-    camera = file_cfg.get("camera", {})
-    if "focal_length_m" in camera:
-        cfg.focal_length_m = _parse_float("camera", "focal_length_m", camera["focal_length_m"])
-    if "pixel_size_m" in camera:
-        cfg.pixel_size_m = _parse_float("camera", "pixel_size_m", camera["pixel_size_m"])
-    if "principal_point_px" in camera:
-        cfg.principal_point_px = _parse_pair(
-            "camera", "principal_point_px", camera["principal_point_px"]
-        )
-
-    models = file_cfg.get("models", {})
-    overrides = {
-        key: _parse_float("models", key, raw)
-        for key, raw in models.items()
-        if key in _MODEL_KEYS
-    }
-    if overrides:
-        cfg.params = dataclasses.replace(cfg.params, **overrides)
-    if "zeta_r" in models or "zeta_rdot" in models:
-        cfg.bot_params = BoTParams(
-            zeta_r=_parse_float("models", "zeta_r", models.get("zeta_r", str(cfg.bot_params.zeta_r))),
-            zeta_rdot=_parse_float(
-                "models", "zeta_rdot", models.get("zeta_rdot", str(cfg.bot_params.zeta_rdot))
-            ),
-        )
-
-    filters = file_cfg.get("filters", {})
-    if "names" in filters:
-        cfg.filters = parse_filter_names(filters["names"])
-    init_kwargs = {}
-    for key in ("mean_height_m", "max_speed_mps", "max_extent_rate_mps"):
-        if key in filters:
-            init_kwargs[key] = _parse_float("filters", key, filters[key])
-    if init_kwargs:
-        cfg.init2d = dataclasses.replace(cfg.init2d, **init_kwargs)
-        if "max_speed_mps" in init_kwargs:
-            cfg.init3d = InitConstants3D(max_speed_mps=init_kwargs["max_speed_mps"])
-
-    sim = file_cfg.get("sim", {})
-    if "trials" in sim:
-        cfg.trials = _parse_int("sim", "trials", sim["trials"])
-    if "seed" in sim:
-        cfg.seed = _parse_int("sim", "seed", sim["seed"])
-    if "dropout" in sim:
-        if sim["dropout"] not in ("real", "none"):
-            raise ConfigError(f"[sim] dropout must be 'real' or 'none', got {sim['dropout']!r}")
-        cfg.dropout = sim["dropout"]
-
-    run = file_cfg.get("run", {})
-    if "sequence" in run:
-        cfg.seq_dir = Path(run["sequence"])
-    if "gt" in run:
-        cfg.gt_path = Path(run["gt"])
-    if "det" in run:
-        cfg.det_path = Path(run["det"])
-    if "image_width" in run or "image_height" in run:
-        width = _parse_int("run", "image_width", run.get("image_width", str(cfg.image_size[0])))
-        height = _parse_int("run", "image_height", run.get("image_height", str(cfg.image_size[1])))
-        cfg.image_size = (width, height)
-    if "frame_rate" in run:
-        cfg.frame_rate = _parse_float("run", "frame_rate", run["frame_rate"])
-    if "gamma" in run:
-        cfg.gamma = _parse_float("run", "gamma", run["gamma"])
-    if "guessed_height_m" in run:
-        cfg.guessed_height_m = _parse_float("run", "guessed_height_m", run["guessed_height_m"])
-    if "track_ids" in run:
-        ids = _parse_int_list("run", "track_ids", run["track_ids"])
-        cfg.track_ids = ids or None
-    if "iou_threshold" in run:
-        cfg.iou_threshold = _parse_float("run", "iou_threshold", run["iou_threshold"])
-    if "class_ids" in run:
-        cfg.class_ids = frozenset(_parse_int_list("run", "class_ids", run["class_ids"]))
-    if "min_visibility" in run:
-        cfg.min_visibility = _parse_float("run", "min_visibility", run["min_visibility"])
-    if "output_dir" in run:
-        cfg.output_dir = Path(run["output_dir"])
+    for section, values in file_cfg.items():
+        for key, raw in values.items():
+            apply_setting(cfg, section, key, raw)
 
 
 def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, str]:
@@ -279,9 +231,10 @@ def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, s
     if "name" in section:
         name = section["name"]
     size = None
-    if "imwidth" in section and "imheight" in section:
-        size = (int(section["imwidth"]), int(section["imheight"]))
-    rate = float(section["framerate"]) if "framerate" in section else None
+    with _invalid(f"malformed {info}"):
+        if "imwidth" in section and "imheight" in section:
+            size = (int(section["imwidth"]), int(section["imheight"]))
+        rate = float(section["framerate"]) if "framerate" in section else None
     return size, rate, name
 
 

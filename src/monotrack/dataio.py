@@ -224,7 +224,8 @@ def build_tracks(
 
     Rows flagged inactive (conf 0), of a class outside ``class_ids``, or
     with visibility at or below ``min_visibility`` are dropped.  Frames
-    are re-based to k = 0 per track.
+    are re-based to k = 0 per track.  A track that repeats a frame or has
+    a box of non-positive extent raises ``ParseError``.
     """
     kept: dict[int, list[MotRow]] = {}
     for row in rows:
@@ -240,10 +241,10 @@ def build_tracks(
         group = sorted(kept[object_id], key=lambda r: r.frame)
         frames = [r.frame for r in group]
         if len(set(frames)) != len(frames):
-            raise ValueError(f"track {object_id} has duplicate frames")
+            raise ParseError(None, f"track {object_id} has duplicate frames")
         boxes = [to_bottom_center(r.left, r.top, r.width, r.height) for r in group]
         if any(b.w <= 0 or b.h <= 0 for b in boxes):
-            raise ValueError(f"track {object_id} has a degenerate annotation box")
+            raise ParseError(None, f"track {object_id} has a degenerate annotation box")
         first = frames[0]
         tracks[object_id] = TrackSequence(
             object_id=object_id,

@@ -56,10 +56,12 @@ class FrameMisalignment(EstimationError):
 
 
 class ParseError(EstimationError):
-    """A data file row could not be parsed."""
+    """A data file could not be parsed, at a known line or as a whole."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int | None, message: str):
+        if line_number is not None:
+            message = f"line {line_number}: {message}"
+        super().__init__(message)
         self.line_number = line_number
 
 

@@ -135,16 +135,14 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """Sigma points, their images, and the scaled deviation matrices.
+    """The mean of the sigma points' images and the scaled deviations.
 
-    ``points`` holds the 2n sigma points as columns; ``transformed``
-    their images under the transform function.  ``dev_x`` and ``dev_y``
-    are the deviations from the input mean and from ``mean_y``, scaled by
-    1/sqrt(2n), so that dev dev^T recovers each covariance directly.
+    The columns of ``dev_x`` and ``dev_y`` are the 2n sigma points'
+    deviations from the input mean and their images' deviations from
+    ``mean_y``, scaled by 1/sqrt(2n), so that dev dev^T recovers each
+    covariance directly.
     """
 
-    points: np.ndarray
-    transformed: np.ndarray
     mean_y: np.ndarray
     dev_x: np.ndarray
     dev_y: np.ndarray
@@ -187,8 +185,6 @@ def unscented_transform(
     mean_y = transformed.mean(axis=1)
     root = math.sqrt(2 * n)
     return SigmaSet(
-        points=points,
-        transformed=transformed,
         mean_y=mean_y,
         dev_x=(points - mean[:, None]) / root,
         dev_y=(transformed - mean_y[:, None]) / root,

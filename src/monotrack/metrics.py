@@ -121,15 +121,14 @@ class EvalSeries:
 def stack_trials(
     frames: Sequence[int],
     trials: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
-) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
-    """Per-frame (M, n) means and (M, n, n) covariances across M trials.
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Stacked (K', M, n) means and (K', M, n, n) covariances of M trials.
 
     Each trial gives the frames it covers with its (L, n) means and
     (L, n, n) covariances in the same order; a frame listed twice keeps
-    its last row.  A frame gets an entry only when every trial covers
-    it, keeping the trial count constant over the evaluated frames;
-    other frames get None.  The result is the input of
-    ``evaluate_track``.
+    its last row.  Only the frames that every trial covers are stacked,
+    keeping the trial count constant; their K' indices into ``frames``
+    come first.  The result is the input of ``evaluate_track``.
     """
     rows = [
         {frame: row for row, frame in enumerate(trial_frames)}
@@ -138,69 +137,49 @@ def stack_trials(
     kept = [
         k for k, frame in enumerate(frames) if rows and all(frame in r for r in rows)
     ]
-    means: list[np.ndarray | None] = [None] * len(frames)
-    covs: list[np.ndarray | None] = [None] * len(frames)
     if not kept:
-        return means, covs
+        return kept, np.empty(0), np.empty(0)
     picks = [[r[frames[k]] for k in kept] for r in rows]
-    stacked_means = np.stack(
-        [np.asarray(m)[pick] for (_, m, _), pick in zip(trials, picks)], axis=1
-    )
-    stacked_covs = np.stack(
-        [np.asarray(c)[pick] for (_, _, c), pick in zip(trials, picks)], axis=1
-    )
-    for j, k in enumerate(kept):
-        means[k] = stacked_means[j]
-        covs[k] = stacked_covs[j]
-    return means, covs
+    means = np.stack([np.asarray(m)[p] for (_, m, _), p in zip(trials, picks)], axis=1)
+    covs = np.stack([np.asarray(c)[p] for (_, _, c), p in zip(trials, picks)], axis=1)
+    return kept, means, covs
 
 
 def evaluate_track(
     truths: np.ndarray,
-    estimate_means: Sequence[np.ndarray | None],
-    estimate_covs: Sequence[np.ndarray | None],
+    kept: Sequence[int],
+    means: np.ndarray,
+    covs: np.ndarray,
     frames: Sequence[int] | None = None,
     space: str = "bb",
 ) -> tuple[EvalSeries, EvalSeries]:
     """Per-frame RMSE and ANEES series over a track.
 
-    ``truths`` is (K, n); the estimate lists hold, per frame, the (M, n)
-    means and (M, n, n) covariances over trials, or None where no trial
-    produced an estimate.  Frames without estimates are excluded from
-    both series and counted in ``n_skipped``.  The kept frames must share
-    one trial count M; they are scored with one stacked ``rmse`` and one
-    stacked ``anees`` call.
+    ``truths`` is (K, n).  ``kept`` indexes the frames that have
+    estimates, and ``means`` and ``covs`` stack them as (K', M, n) and
+    (K', M, n, n), as ``stack_trials`` returns them.  The other frames
+    are excluded from both series and counted in ``n_skipped``.  The kept
+    frames are scored with one stacked ``rmse`` and one stacked ``anees``
+    call.
     """
     k = len(truths)
-    if len(estimate_means) != k or len(estimate_covs) != k:
-        raise FrameMisalignment(
-            f"{k} truth frames but {len(estimate_means)} mean and "
-            f"{len(estimate_covs)} covariance entries"
-        )
     if frames is None:
         frames = list(range(k))
     elif len(frames) != k:
         raise FrameMisalignment(f"{k} truth frames but {len(frames)} frame labels")
-    kept = [
-        i
-        for i in range(k)
-        if estimate_means[i] is not None and estimate_covs[i] is not None
-    ]
+    if len(means) != len(kept) or len(covs) != len(kept):
+        raise FrameMisalignment(
+            f"{len(kept)} kept frames but {len(means)} mean and "
+            f"{len(covs)} covariance stacks"
+        )
     kept_frames = tuple(frames[i] for i in kept)
     rmse_values = anees_values = np.empty(0)
     n_trials = 0
     if kept:
         truth = np.asarray(truths, dtype=float)[kept]
-        try:
-            means = np.stack([np.asarray(estimate_means[i], dtype=float) for i in kept])
-            covs = np.stack([np.asarray(estimate_covs[i], dtype=float) for i in kept])
-        except ValueError as exc:
-            raise DimensionMismatch(
-                f"estimates differ in shape across frames: {exc}"
-            ) from exc
         rmse_values = rmse(truth, means)
         anees_values = anees(truth, means, covs)
-        n_trials = means.shape[1] if means.ndim == 3 else 1
+        n_trials = means.shape[1]
     skipped = k - len(kept)
     return (
         EvalSeries(kept_frames, rmse_values, space, n_trials, skipped),

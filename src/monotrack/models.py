@@ -208,15 +208,6 @@ def ar_discretize(params: ARParams, dt: float) -> tuple[float, float, float]:
     return alpha, additive, noise_var
 
 
-def psd_from_max_acceleration(a_max: float, dt: float) -> float:
-    """PSD q making the NCV one-step velocity spread match a_max * dt."""
-    if not a_max >= 0:
-        raise ValueError(f"maximum acceleration must be >= 0, got {a_max}")
-    if not dt > 0:
-        raise InvalidTimestep(f"sampling period must be positive, got {dt}")
-    return a_max * a_max * dt
-
-
 def measurement_matrix() -> np.ndarray:
     """4x8 selector of the bounding-box components of an 8-vector state."""
     h = np.zeros((4, 8))

@@ -281,8 +281,8 @@ def score_trials(
         truth = semi_annotate_3d(track.annotations, cam, guessed_height_m)
     else:
         truth = np.stack([box.as_vector() for box in track.annotations])
-    means, covs = stack_trials(track.frames, trials)
-    return evaluate_track(truth, means, covs, track.frames, spec.scored_in)
+    kept, means, covs = stack_trials(track.frames, trials)
+    return evaluate_track(truth, kept, means, covs, track.frames, spec.scored_in)
 
 
 def evaluate_runs(

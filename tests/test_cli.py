@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monotrack.cli import main
+from monotrack.cli import _KEY_FLAGS, _build_parser, _config_from_args, main
+from monotrack.config import RunConfig
 from monotrack.dataio import (
     BoundingBox,
     MotRow,
@@ -20,6 +21,7 @@ from monotrack.dataio import (
     to_top_left,
     write_mot_file,
 )
+from monotrack.exceptions import ConfigError
 
 from conftest import DROPPED_FRAMES, N_FRAMES
 
@@ -159,7 +161,7 @@ def test_usage_errors_exit_1(synthetic_sequence, tmp_path, capsys):
     assert main(base + ["--workers", "2"]) == 1
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert main(base + ["--trials", "abc"]) == 1
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert "error: [sim] trials: not an integer: 'abc'" in capsys.readouterr().err
     assert main([]) == 1
     with pytest.raises(SystemExit) as exc:
         main(["run", "-h"])
@@ -379,3 +381,117 @@ def test_output_env_var_and_flag_precedence(
     flag_dir = tmp_path / "from_flag"
     assert main(args + ["--out", str(flag_dir)]) == 0
     assert (flag_dir / "SYN-01_id1_summary.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "command,extra,ini,repeat_row",
+    [
+        ("run", ["--gamma", "-1"], None, False),
+        ("run", ["--image-size", "0x0"], None, False),
+        ("run", [], "[models]\ntau_h = 0\n", False),
+        ("run", [], "[models]\nq_x = -1\n", False),
+        ("run", [], "[models]\nzeta_r = 0\n", False),
+        ("run", [], "[filters]\nmean_height_m = -1\n", False),
+        ("inspect", [], None, True),
+    ],
+    ids=["gamma", "image-size", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row"],
+)
+def test_out_of_range_values_exit_1(
+    synthetic_sequence, tmp_path, capsys, command, extra, ini, repeat_row
+):
+    # Each value parses, but a record's check or the annotation file's
+    # rejects it; the command reports that as an error, not a traceback.
+    args = [command] + seq_args(synthetic_sequence, tmp_path) + extra
+    if ini is not None:
+        config = tmp_path / "run.ini"
+        config.write_text(ini, encoding="utf-8")
+        args += ["--config", str(config)]
+    if repeat_row:
+        gt_rows = parse_mot_file(synthetic_sequence.gt_path, "annotation")
+        write_mot_file(tmp_path / "gt.txt", gt_rows + gt_rows[:1], "annotation")
+        args += ["--gt", str(tmp_path / "gt.txt")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _key_case(flag, section, key, field, first, second):
+    """Two values of one flag, each with the config text of its key."""
+    return flag, field, [(text, f"[{section}]\n{key} = {text}\n") for text in (first, second)]
+
+
+_FLAG_KEY_CASES = [
+    _key_case("--seq", "run", "sequence", "seq_dir", "A-01", "B-01"),
+    _key_case("--gt", "run", "gt", "gt_path", "a.txt", "b.txt"),
+    _key_case("--det", "run", "det", "det_path", "a.txt", "b.txt"),
+    _key_case("--frame-rate", "run", "frame_rate", "frame_rate", "25", "12.5"),
+    _key_case("--gamma", "run", "gamma", "gamma", "480", "100"),
+    _key_case("--track-id", "run", "track_ids", "track_ids", "2, 5", "7"),
+    _key_case("--iou-threshold", "run", "iou_threshold", "iou_threshold", "0.4", "0.7"),
+    _key_case("--out", "run", "output_dir", "output_dir", "one", "two"),
+    _key_case("--trials", "sim", "trials", "trials", "25", "3"),
+    _key_case("--seed", "sim", "seed", "seed", "3", "11"),
+    _key_case("--dropout", "sim", "dropout", "dropout", "none", "real"),
+    _key_case("--filter", "filters", "names", "filters", "ukf3d", "kf2d, bot"),
+    _key_case("--guessed-height", "run", "guessed_height_m", "guessed_height_m", "1.7", "1.5"),
+    (
+        "--image-size",
+        "image_size",
+        [
+            (f"{w}x{h}", f"[run]\nimage_width = {w}\nimage_height = {h}\n")
+            for w, h in ((640, 480), (320, 240))
+        ],
+    ),
+]
+
+
+def _run_config(argv: list[str], ini: str | None = None) -> RunConfig:
+    if ini is not None:
+        Path("flags.ini").write_text(ini, encoding="utf-8")
+        argv = argv + ["--config", "flags.ini"]
+    return _config_from_args(_build_parser().parse_args(["run"] + argv))
+
+
+def test_flag_key_cases_cover_every_key_flag():
+    flags = {case[0] for case in _FLAG_KEY_CASES}
+    assert flags == set(_KEY_FLAGS) | {"--image-size"}
+
+
+@pytest.mark.parametrize(
+    "flag,field,values", _FLAG_KEY_CASES, ids=[case[0] for case in _FLAG_KEY_CASES]
+)
+def test_flag_and_config_key_set_the_same_field(
+    tmp_path, monkeypatch, flag, field, values
+):
+    monkeypatch.delenv("MONOTRACK_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("A-01").mkdir()
+    Path("B-01").mkdir()
+    (first, first_ini), (second, second_ini) = values
+    by_flag = getattr(_run_config([flag, first]), field)
+    assert by_flag == getattr(_run_config([], first_ini), field)
+    assert by_flag != getattr(RunConfig(), field)
+    # With both, the flag wins.
+    both = getattr(_run_config([flag, second], first_ini), field)
+    assert both == getattr(_run_config([], second_ini), field) != by_flag
+
+
+@pytest.mark.parametrize(
+    "flag,section,key,raw,reason",
+    [
+        ("--trials", "sim", "trials", "abc", "not an integer: 'abc'"),
+        ("--track-id", "run", "track_ids", "a", "not an integer: 'a'"),
+        ("--gamma", "run", "gamma", "wide", "not a number: 'wide'"),
+        ("--filter", "filters", "names", "ekf", "unknown filter 'ekf'"),
+        ("--dropout", "sim", "dropout", "often", "expected 'real' or 'none', got 'often'"),
+    ],
+    ids=["trials", "track-id", "gamma", "filter", "dropout"],
+)
+def test_bad_value_message_is_the_same_from_file_and_flag(
+    tmp_path, monkeypatch, flag, section, key, raw, reason
+):
+    monkeypatch.chdir(tmp_path)
+    for argv, ini in (([flag, raw], None), ([], f"[{section}]\n{key} = {raw}\n")):
+        with pytest.raises(ConfigError) as info:
+            _run_config(argv, ini)
+        assert str(info.value) == f"[{section}] {key}: {reason}"

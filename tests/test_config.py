@@ -4,10 +4,12 @@ directory resolution, and the derived camera/model bundle.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
+from monotrack.cli import _KEY_FLAGS
 from monotrack.config import (
     RunConfig,
     apply_config_file,
@@ -124,6 +126,16 @@ def test_read_seqinfo(synthetic_sequence):
     assert name == "SYN-01"
 
 
+def test_read_seqinfo_rejects_malformed_values(tmp_path):
+    seq = tmp_path / "BAD-01"
+    seq.mkdir()
+    info = "[Sequence]\nimWidth = {}\nimHeight = 1080\nframeRate = {}\n"
+    for width, rate in (("wide", "30"), ("1920", "fast")):
+        (seq / "seqinfo.ini").write_text(info.format(width, rate), encoding="utf-8")
+        with pytest.raises(ConfigError, match="malformed .*seqinfo.ini"):
+            read_seqinfo(seq)
+
+
 def test_read_seqinfo_without_file(tmp_path):
     seq = tmp_path / "BARE-01"
     seq.mkdir()
@@ -153,3 +165,22 @@ def test_resolve_sequence_rejects_missing_directory(tmp_path):
     cfg = RunConfig(seq_dir=tmp_path / "nowhere")
     with pytest.raises(ConfigError):
         resolve_sequence(cfg)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_example_folds(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
+    cfg = RunConfig()
+    apply_config_file(cfg, read_config_file(write(tmp_path, block)))
+    assert cfg.params.tau_h == 4.0 and cfg.init2d.mean_height_m == 1.65
+    assert (cfg.trials, cfg.seed, cfg.dropout) == (200, 7, "real")
+    assert cfg.track_ids == (2,) and cfg.output_dir == Path("results")
+
+
+def test_readme_lists_every_flag_with_its_key():
+    text = README.read_text(encoding="utf-8")
+    for flag, (section, key, _) in _KEY_FLAGS.items():
+        assert f"| `{flag}` | `[{section}] {key}` |" in text

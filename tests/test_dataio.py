@@ -231,10 +231,10 @@ def test_build_tracks_visibility_threshold():
 
 
 def test_build_tracks_rejects_duplicates_and_degenerate_boxes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^track 7 has duplicate frames$"):
         build_tracks(GT_ROWS + [GT_ROWS[0]], (1920, 1080))
     bad = [MotRow(1, 1, 0.0, 0.0, 0.0, 10.0, 1.0, 1, 1.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="degenerate annotation box"):
         build_tracks(bad, (1920, 1080))
 
 

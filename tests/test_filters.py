@@ -10,6 +10,7 @@ expansions of their covariance patterns.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -257,8 +258,8 @@ def test_unscented_identity_is_exact():
 def test_unscented_sigma_points_one_dimensional():
     sigma = unscented_transform(np.zeros(1), np.ones((1, 1)), lambda pts: pts**2)
     # Two points at +-sqrt(1)*1; the square maps both to 1.
-    assert sorted(sigma.points[0]) == [-1.0, 1.0]
-    assert np.array_equal(sigma.transformed, [[1.0, 1.0]])
+    assert sorted(sigma.dev_x[0] * math.sqrt(2)) == [-1.0, 1.0]
+    assert np.array_equal(sigma.dev_y, [[0.0, 0.0]])
     assert sigma.mean_y == pytest.approx([1.0])
     # The symmetric set collapses the quadratic's spread and correlation.
     assert abs(sigma.cov_y[0, 0]) <= 1e-15

@@ -176,9 +176,9 @@ def test_eval_series_validation():
 
 def test_evaluate_track_perfect():
     truths = np.arange(12.0).reshape(3, 4)
-    means = [np.broadcast_to(t, (5, 4)) for t in truths]
-    covs = [np.broadcast_to(np.eye(4), (5, 4, 4)) for _ in truths]
-    rmse_series, anees_series = evaluate_track(truths, means, covs)
+    means = np.stack([np.broadcast_to(t, (5, 4)) for t in truths])
+    covs = np.broadcast_to(np.eye(4), (3, 5, 4, 4))
+    rmse_series, anees_series = evaluate_track(truths, [0, 1, 2], means, covs)
     assert rmse_series.frames == (0, 1, 2)
     assert np.array_equal(rmse_series.values, [0.0, 0.0, 0.0])
     assert np.array_equal(anees_series.values, [0.0, 0.0, 0.0])
@@ -190,7 +190,11 @@ def test_evaluate_track_skips_missing_frames():
     mean = np.array([[3.0, 4.0]])
     cov = np.eye(2)[None]
     rmse_series, anees_series = evaluate_track(
-        truths, [mean, None, mean], [cov, None, cov], frames=[10, 11, 12]
+        truths,
+        [0, 2],
+        np.stack([mean, mean]),
+        np.stack([cov, cov]),
+        frames=[10, 11, 12],
     )
     assert rmse_series.frames == (10, 12)
     assert np.array_equal(rmse_series.values, [5.0, 5.0])
@@ -201,9 +205,9 @@ def test_evaluate_track_skips_missing_frames():
 def test_evaluate_track_rejects_misalignment():
     truths = np.zeros((2, 2))
     with pytest.raises(FrameMisalignment):
-        evaluate_track(truths, [None], [None])
+        evaluate_track(truths, [0], np.empty(0), np.empty(0))
     with pytest.raises(FrameMisalignment):
-        evaluate_track(truths, [None, None], [None, None], frames=[0])
+        evaluate_track(truths, [], np.empty(0), np.empty(0), frames=[0])
 
 
 def _frame_reference(truth, means, covs):
@@ -227,11 +231,15 @@ def test_evaluate_track_batched_equals_per_frame_bitwise(m, n):
         a = rng.standard_normal((m, n, n))
         means.append(truth + rng.standard_normal((m, n)) * 3.0)
         covs.append(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n))
-    for gap in (0, 4, 5):
-        means[gap] = covs[gap] = None
+    kept = [i for i in range(k) if i not in (0, 4, 5)]
     frames = [10 * i for i in range(k)]
-    rmse_series, anees_series = evaluate_track(truths, means, covs, frames)
-    kept = [i for i in range(k) if means[i] is not None]
+    rmse_series, anees_series = evaluate_track(
+        truths,
+        kept,
+        np.stack([means[i] for i in kept]),
+        np.stack([covs[i] for i in kept]),
+        frames,
+    )
     assert rmse_series.frames == tuple(frames[i] for i in kept)
     assert rmse_series.n_trials == m and rmse_series.n_skipped == 3
     want = np.array([_frame_reference(truths[i], means[i], covs[i]) for i in kept])
@@ -240,24 +248,6 @@ def test_evaluate_track_batched_equals_per_frame_bitwise(m, n):
     for i, r, a in zip(kept, rmse_series.values, anees_series.values):
         assert r == rmse(truths[i], means[i])
         assert a == anees(truths[i], means[i], covs[i])
-
-
-def test_evaluate_track_accepts_single_trial_vectors():
-    truths = np.zeros((2, 2))
-    rmse_series, anees_series = evaluate_track(
-        truths, [np.array([3.0, 4.0])] * 2, [np.eye(2)] * 2
-    )
-    assert np.array_equal(rmse_series.values, [5.0, 5.0])
-    assert np.array_equal(anees_series.values, [12.5, 12.5])
-    assert rmse_series.n_trials == 1
-
-
-def test_evaluate_track_rejects_varying_trial_count():
-    truths = np.zeros((2, 2))
-    means = [np.zeros((1, 2)), np.zeros((2, 2))]
-    covs = [np.eye(2)[None], np.broadcast_to(np.eye(2), (2, 2, 2))]
-    with pytest.raises(DimensionMismatch):
-        evaluate_track(truths, means, covs)
 
 
 def test_batched_metrics_reject_mismatch():
@@ -276,11 +266,12 @@ def test_stack_trials_keeps_frames_every_trial_covers():
     # Trial 1 stops after frame 2; trial 0 lists frame 1 twice (last wins).
     trials = [trial([0, 1, 1, 2, 3], 0.0), trial([0, 1, 2], 0.5)]
     trials[0][1][1] = -1.0
-    means, covs = stack_trials([0, 1, 2, 3], trials)
-    assert means[3] is None and covs[3] is None
+    kept, means, covs = stack_trials([0, 1, 2, 3], trials)
+    assert kept == [0, 1, 2]
+    assert means.shape == (3, 2, 2) and covs.shape == (3, 2, 2, 2)
     assert np.array_equal(means[0], [[0.0, 0.0], [0.5, 0.0]])
     assert np.array_equal(means[1], [[1.0, 0.0], [1.5, 0.0]])
     assert np.array_equal(covs[2], [np.eye(2) * 3, np.eye(2) * 3])
-    assert stack_trials([0, 1], []) == ([None, None], [None, None])
+    assert stack_trials([0, 1], [])[0] == []
     empty = ([], np.array([]), np.array([]))
-    assert stack_trials([0, 1], [trials[1], empty]) == ([None, None], [None, None])
+    assert stack_trials([0, 1], [trials[1], empty])[0] == []

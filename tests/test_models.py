@@ -30,7 +30,6 @@ from monotrack.models import (
     measurement_noise,
     ncv_discretize,
     project_state,
-    psd_from_max_acceleration,
 )
 
 CAM = CameraIntrinsics()
@@ -112,13 +111,6 @@ def test_ar_rejects_bad_inputs():
         ARParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ARParams(1.0, 0.1, -2.0)
-
-
-def test_psd_from_max_acceleration():
-    assert psd_from_max_acceleration(5.477, 1.0 / 30.0) == pytest.approx(1.0, rel=1e-3)
-    assert psd_from_max_acceleration(0.0, 0.1) == 0.0
-    with pytest.raises(InvalidTimestep):
-        psd_from_max_acceleration(1.0, -0.1)
 
 
 def test_measurement_matrix_selects_box_rows():
