@@ -3,9 +3,9 @@
 Estimates pedestrian state from bounding-box detections of a single
 static camera, either directly in the image plane (two baseline Kalman
 filters) or in the camera frame through an unconstrained 3D motion model
-and a square-root unscented filter, plus the simulation and metric
-machinery to compare the two families for accuracy and covariance
-consistency.
+and an unscented filter with an outer-product covariance update, plus
+the simulation and metric machinery to compare the two families for
+accuracy and covariance consistency.
 """
 
 from .camera import DEPTH_EPSILON, CameraIntrinsics, backproject
@@ -25,8 +25,7 @@ from .dataio import (
 )
 from .filters import (
     GaussianEstimate,
-    InitConstants2D,
-    InitConstants3D,
+    InitConstants,
     SigmaSet,
     bot_init,
     bot_predict,
@@ -46,11 +45,9 @@ from .filters import (
 )
 from .metrics import EvalSeries, anees, evaluate_track, rmse
 from .models import (
-    ARParams,
     BoTParams,
     ModelSet2D,
     ModelSet3D,
-    NCVParams,
     PedestrianParams,
     ar_discretize,
     bot_measurement_noise,

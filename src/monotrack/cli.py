@@ -42,6 +42,7 @@ from .dataio import (
     write_mot_file,
 )
 from .exceptions import ConfigError, EstimationError, ParseError
+from .metrics import EvalSeries
 from .pipeline import (
     SPACES,
     ModelBundle,
@@ -182,6 +183,19 @@ def _sim_config(cfg: RunConfig, track: TrackSequence, bundle: ModelBundle) -> Si
     return SimConfig(cfg.trials, cfg.seed, bundle.model2d.R, mask)
 
 
+def _summary_line(
+    label: str, series: tuple[EvalSeries, EvalSeries], track: TrackSequence
+) -> str:
+    """One scored (filter, space) as ``run`` and ``evaluate`` print it."""
+    rmse_series, anees_series = series
+    return (
+        f"{label}: median_rmse={rmse_series.median:.6g} "
+        f"median_anees={anees_series.median:.6g} "
+        f"frames={len(rmse_series.frames)}/{len(track.frames)} "
+        f"trials={rmse_series.n_trials}"
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.trials < 0:
@@ -200,14 +214,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_track(track, bundle, cfg.filters, cfg.guessed_height_m, sim_cfg)
         write_track_outputs(cfg.output_dir, cfg.seq_name, result)
         n_failures += result.n_failures
-        for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
-            print(
-                f"{cfg.seq_name} id{result.track.object_id} {name} {space}: "
-                f"median_rmse={rmse_series.median:.6g} "
-                f"median_anees={anees_series.median:.6g} "
-                f"frames={len(rmse_series.frames)}/{len(result.track.frames)} "
-                f"trials={rmse_series.n_trials}"
-            )
+        for (name, space), series in sorted(result.metrics.items()):
+            label = f"{cfg.seq_name} id{track.object_id} {name} {space}"
+            print(_summary_line(label, series, track))
     print(f"wrote outputs for {len(tracks)} track(s) to {cfg.output_dir}")
     if n_failures:
         print(f"{n_failures} filter run(s) stopped early", file=sys.stderr)
@@ -309,19 +318,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     track = next(iter(tracks.values()))
     estimates_path = Path(args.estimates)
     space, trials = _read_estimates_csv(estimates_path)
-    rmse_series, anees_series = score_trials(
-        track, space, trials, cfg.camera(), cfg.guessed_height_m
-    )
+    series = score_trials(track, space, trials, cfg.camera(), cfg.guessed_height_m)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"{estimates_path.stem}_metrics.csv"
-    write_metrics_csv(out_path, rmse_series, anees_series)
-    print(
-        f"{estimates_path.name} {rmse_series.space}: "
-        f"median_rmse={rmse_series.median:.6g} "
-        f"median_anees={anees_series.median:.6g} "
-        f"frames={len(rmse_series.frames)}/{len(track.frames)} "
-        f"trials={len(trials)}"
-    )
+    write_metrics_csv(out_path, *series)
+    print(_summary_line(f"{estimates_path.name} {series[0].space}", series, track))
     print(f"wrote {out_path}")
     return 0
 

@@ -4,7 +4,7 @@ command-line flags that set the same fields.
 Every key has a built-in default, named after the symbol it sets, so an
 empty file is a valid pedestrian setup; README's "Config file" section
 shows one.  Each key is declared once, in ``SETTINGS``: the parser of
-its text and the ``RunConfig`` fields it sets.  To add a setting, add its
+its text and the ``RunConfig`` field it sets.  To add a setting, add its
 field to ``RunConfig`` and its entry to ``SETTINGS``.  ``read_config_file``
 accepts the keys of that table, and ``apply_setting`` parses a value from
 a file, the environment or a flag alike; a bad value raises
@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator
 
 from .camera import CameraIntrinsics
 from .exceptions import ConfigError
-from .filters import InitConstants2D, InitConstants3D
+from .filters import InitConstants
 from .models import BoTParams, PedestrianParams
 from .pipeline import FILTER_NAMES, ModelBundle, build_bundle
 
@@ -57,8 +57,7 @@ class RunConfig:
     principal_point_px: tuple[float, float] | None = None
     params: PedestrianParams = dataclasses.field(default_factory=PedestrianParams)
     bot_params: BoTParams = dataclasses.field(default_factory=BoTParams)
-    init2d: InitConstants2D = dataclasses.field(default_factory=InitConstants2D)
-    init3d: InitConstants3D = dataclasses.field(default_factory=InitConstants3D)
+    init: InitConstants = dataclasses.field(default_factory=InitConstants)
     filters: tuple[str, ...] = FILTER_NAMES
     track_ids: tuple[int, ...] | None = None
     guessed_height_m: float = 1.65
@@ -90,8 +89,7 @@ class RunConfig:
                 gamma=self.gamma,
                 params=self.params,
                 bot_params=self.bot_params,
-                init2d=self.init2d,
-                init3d=self.init3d,
+                init=self.init,
             )
 
 
@@ -134,9 +132,9 @@ def _dropout(raw: str) -> str:
     return raw
 
 
-# (section, key) -> (parser of the text, the RunConfig fields it sets).
+# (section, key) -> (parser of the text, the RunConfig field it sets).
 # A field ``name.attr`` is one field of a record, or one index of a
-# tuple, that RunConfig holds; several fields are space-separated.
+# tuple, that RunConfig holds.
 SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
     ("camera", "focal_length_m"): (_float, "focal_length_m"),
     ("camera", "pixel_size_m"): (_float, "pixel_size_m"),
@@ -148,9 +146,9 @@ SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
     ("models", "zeta_r"): (_float, "bot_params.zeta_r"),
     ("models", "zeta_rdot"): (_float, "bot_params.zeta_rdot"),
     ("filters", "names"): (_filter_names, "filters"),
-    ("filters", "mean_height_m"): (_float, "init2d.mean_height_m"),
-    ("filters", "max_speed_mps"): (_float, "init2d.max_speed_mps init3d.max_speed_mps"),
-    ("filters", "max_extent_rate_mps"): (_float, "init2d.max_extent_rate_mps"),
+    ("filters", "mean_height_m"): (_float, "init.mean_height_m"),
+    ("filters", "max_speed_mps"): (_float, "init.max_speed_mps"),
+    ("filters", "max_extent_rate_mps"): (_float, "init.max_extent_rate_mps"),
     ("sim", "trials"): (_int, "trials"),
     ("sim", "seed"): (_int, "seed"),
     ("sim", "dropout"): (_dropout, "dropout"),
@@ -171,20 +169,19 @@ SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
 
 
 def apply_setting(cfg: RunConfig, section: str, key: str, raw: str) -> None:
-    """Parse one key's text and set its fields (in place)."""
-    parse, fields = SETTINGS[section, key]
+    """Parse one key's text and set its field (in place)."""
+    parse, field = SETTINGS[section, key]
     with _invalid(f"[{section}] {key}"):
         value = parse(raw)
-        for field in fields.split():
-            name, _, attr = field.partition(".")
-            held = getattr(cfg, name)
-            if not attr:
-                held = value
-            elif isinstance(held, tuple):
-                held = tuple(value if str(i) == attr else v for i, v in enumerate(held))
-            else:
-                held = dataclasses.replace(held, **{attr: value})
-            setattr(cfg, name, held)
+        name, _, attr = field.partition(".")
+        held = getattr(cfg, name)
+        if not attr:
+            held = value
+        elif isinstance(held, tuple):
+            held = tuple(value if str(i) == attr else v for i, v in enumerate(held))
+        else:
+            held = dataclasses.replace(held, **{attr: value})
+        setattr(cfg, name, held)
 
 
 def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:

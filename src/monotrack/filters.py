@@ -1,5 +1,6 @@
 """State estimators: a linear Kalman filter, a heuristic image-plane
-baseline, and a square-root unscented filter for the 3D model.
+baseline, and an unscented filter with an outer-product covariance
+update for the 3D model.
 
 All three share the Gaussian recursion
 
@@ -257,7 +258,7 @@ def kf_update(
 
 
 @dataclass(frozen=True)
-class InitConstants2D:
+class InitConstants:
     """Speed caps turning a first box into velocity-spread priors."""
 
     mean_height_m: float = 1.65
@@ -272,27 +273,16 @@ class InitConstants2D:
         ):
             raise ValueError("initialization constants must be positive")
 
-
-@dataclass(frozen=True)
-class InitConstants3D:
-    """Velocity prior for the 3D initialization."""
-
-    max_speed_mps: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not self.max_speed_mps > 0:
-            raise ValueError("maximum speed must be positive")
-
     @property
     def v_rdot(self) -> float:
-        """Per-axis velocity variance: a third of the speed cap, squared."""
+        """Per-axis 3D velocity variance: a third of the speed cap, squared."""
         return (self.max_speed_mps / 3.0) ** 2
 
 
 def init_2d(
     z0: np.ndarray,
     R: np.ndarray,
-    consts: InitConstants2D | None = None,
+    consts: InitConstants | None = None,
 ) -> GaussianEstimate:
     """First estimate of the 2D filter from one bounding box.
 
@@ -300,7 +290,7 @@ def init_2d(
     unmeasured rates get zero mean and a variance sized so three sigma
     covers the speed cap scaled to the box's apparent size.
     """
-    consts = consts or InitConstants2D()
+    consts = consts or InitConstants()
     z0 = np.asarray(z0, dtype=float)
     if not z0[3] > 0:
         raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")
@@ -372,10 +362,12 @@ def unscented_kalman_update(
     transform: Callable[[np.ndarray], np.ndarray],
     R: np.ndarray,
 ) -> GaussianEstimate:
-    """Square-root-form unscented update with measurement function g.
+    """Unscented update with measurement function g and an outer-product
+    covariance update.
 
     The posterior covariance (M_x - K M_y)(M_x - K M_y)^T + K R K^T is
-    algebraically the standard one but assembled from outer products.
+    algebraically the standard one but assembled from outer products; the
+    factor of the covariance is not carried between steps.
     Raises ``FunctionDomainError`` if g rejects a sigma point and
     ``SingularInnovation`` if M_y M_y^T + R cannot be factorized.
     """
@@ -453,7 +445,7 @@ def _position_fix_fn(
 def init_3d(
     z0: np.ndarray,
     model: ModelSet3D,
-    consts: InitConstants3D | None = None,
+    consts: InitConstants | None = None,
 ) -> GaussianEstimate:
     """First estimate of the 3D filter from one bounding box.
 
@@ -462,7 +454,7 @@ def init_3d(
     the depth scale.  Velocities start at zero with the speed-cap
     variance; the extents start at their stationary laws.
     """
-    consts = consts or InitConstants3D()
+    consts = consts or InitConstants()
     z0 = np.asarray(z0, dtype=float)
     if not z0[3] > 0:
         raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")

@@ -31,7 +31,7 @@ length (see :func:`ar_discretize`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,37 +71,6 @@ def _blkdiag(*blocks: np.ndarray) -> np.ndarray:
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """Average a matrix with its transpose."""
     return 0.5 * (mat + mat.T)
-
-
-@dataclass(frozen=True)
-class NCVParams:
-    """White-noise-acceleration model: PSD q and sampling period."""
-
-    psd: float
-    dt: float
-
-    def __post_init__(self) -> None:
-        if not self.psd >= 0:
-            raise ValueError(f"power spectral density must be >= 0, got {self.psd}")
-        if not self.dt > 0:
-            raise InvalidTimestep(f"sampling period must be positive, got {self.dt}")
-
-
-@dataclass(frozen=True)
-class ARParams:
-    """Mean-reverting scalar process: stationary mean/stddev and time constant."""
-
-    mean: float
-    stddev: float
-    time_constant_s: float
-
-    def __post_init__(self) -> None:
-        if not self.stddev > 0:
-            raise ValueError(f"stationary stddev must be positive, got {self.stddev}")
-        if not self.time_constant_s > 0:
-            raise ValueError(
-                f"time constant must be positive, got {self.time_constant_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -158,9 +127,6 @@ class ModelSet2D:
     Q: np.ndarray
     H: np.ndarray
     R: np.ndarray
-    gamma: float
-    dt: float
-    params: PedestrianParams = field(default_factory=PedestrianParams)
 
 
 @dataclass(frozen=True)
@@ -172,27 +138,31 @@ class ModelSet3D:
     Q: np.ndarray
     R: np.ndarray
     cam: CameraIntrinsics
-    gamma: float
-    dt: float
-    params: PedestrianParams = field(default_factory=PedestrianParams)
-    alpha_w: float = 0.0
-    alpha_h: float = 0.0
+    params: PedestrianParams
 
 
-def ncv_discretize(params: NCVParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exact discretization of one NCV axis.
+def ncv_discretize(psd: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact discretization of one NCV axis with white-noise acceleration
+    of power spectral density ``psd`` over a sampling period ``dt``.
 
     Returns the 2x2 transition [[1, T], [0, 1]] and process noise
     q * [[T^3/3, T^2/2], [T^2/2, T]] for the state pair (position, rate).
     """
-    t = params.dt
-    f = np.array([[1.0, t], [0.0, 1.0]])
-    q = params.psd * np.array([[t**3 / 3.0, t**2 / 2.0], [t**2 / 2.0, t]])
+    if not psd >= 0:
+        raise ValueError(f"power spectral density must be >= 0, got {psd}")
+    if not dt > 0:
+        raise InvalidTimestep(f"sampling period must be positive, got {dt}")
+    f = np.array([[1.0, dt], [0.0, 1.0]])
+    q = psd * np.array([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]])
     return f, q
 
 
-def ar_discretize(params: ARParams, dt: float) -> tuple[float, float, float]:
-    """Exact discretization of a mean-reverting scalar process.
+def ar_discretize(
+    mean: float, stddev: float, time_constant_s: float, dt: float
+) -> tuple[float, float, float]:
+    """Exact discretization of a mean-reverting scalar process with
+    stationary ``mean`` and ``stddev`` and time constant
+    tau = ``time_constant_s``.
 
     Returns (alpha, additive, noise_var) for the recursion
     p[k+1] = alpha p[k] + additive + w[k], w ~ N(0, noise_var), with
@@ -200,11 +170,15 @@ def ar_discretize(params: ARParams, dt: float) -> tuple[float, float, float]:
     continuous process are preserved for any dt: additive equals
     (1 - alpha) mean and noise_var equals stddev^2 (1 - alpha^2).
     """
+    if not stddev > 0:
+        raise ValueError(f"stationary stddev must be positive, got {stddev}")
+    if not time_constant_s > 0:
+        raise ValueError(f"time constant must be positive, got {time_constant_s}")
     if not dt > 0:
         raise InvalidTimestep(f"sampling period must be positive, got {dt}")
-    alpha = math.exp(-dt / params.time_constant_s)
-    additive = (1.0 - alpha) * params.mean
-    noise_var = params.stddev**2 * (1.0 - alpha * alpha)
+    alpha = math.exp(-dt / time_constant_s)
+    additive = (1.0 - alpha) * mean
+    noise_var = stddev**2 * (1.0 - alpha * alpha)
     return alpha, additive, noise_var
 
 
@@ -232,7 +206,7 @@ def build_model_2d(
     blocks_f = []
     blocks_q = []
     for q in psds:
-        f, qm = ncv_discretize(NCVParams(q, dt))
+        f, qm = ncv_discretize(q, dt)
         blocks_f.append(f)
         blocks_q.append(gamma * gamma * qm)
     return ModelSet2D(
@@ -240,9 +214,6 @@ def build_model_2d(
         Q=_blkdiag(*blocks_q),
         H=measurement_matrix(),
         R=measurement_noise(gamma),
-        gamma=gamma,
-        dt=dt,
-        params=params,
     )
 
 
@@ -254,15 +225,15 @@ def build_model_3d(
 ) -> ModelSet3D:
     """Assemble the camera-frame model: NCV positions, mean-reverting extents."""
     params = params or PedestrianParams()
-    f_ncv, _ = ncv_discretize(NCVParams(0.0, dt))
-    _, q_x = ncv_discretize(NCVParams(params.q_x, dt))
-    _, q_y = ncv_discretize(NCVParams(params.q_y, dt))
-    _, q_z = ncv_discretize(NCVParams(params.q_z, dt))
+    f_ncv, _ = ncv_discretize(0.0, dt)
+    _, q_x = ncv_discretize(params.q_x, dt)
+    _, q_y = ncv_discretize(params.q_y, dt)
+    _, q_z = ncv_discretize(params.q_z, dt)
     alpha_w, add_w, var_w = ar_discretize(
-        ARParams(params.mean_w, params.sigma_w, params.tau_w), dt
+        params.mean_w, params.sigma_w, params.tau_w, dt
     )
     alpha_h, add_h, var_h = ar_discretize(
-        ARParams(params.mean_h, params.sigma_h, params.tau_h), dt
+        params.mean_h, params.sigma_h, params.tau_h, dt
     )
     m = np.zeros(8)
     m[6] = add_w
@@ -273,11 +244,7 @@ def build_model_3d(
         Q=_blkdiag(q_x, q_y, q_z, var_w, var_h),
         R=measurement_noise(gamma),
         cam=cam,
-        gamma=gamma,
-        dt=dt,
         params=params,
-        alpha_w=alpha_w,
-        alpha_h=alpha_h,
     )
 
 

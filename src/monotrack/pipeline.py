@@ -31,8 +31,7 @@ from .exceptions import (
 )
 from .filters import (
     GaussianEstimate,
-    InitConstants2D,
-    InitConstants3D,
+    InitConstants,
     bot_init,
     bot_predict,
     bot_update,
@@ -94,13 +93,10 @@ class ModelBundle:
     """Every model and constant one run needs, assembled once."""
 
     cam: CameraIntrinsics
-    gamma: float
-    dt: float
     model2d: ModelSet2D
     model3d: ModelSet3D
     bot_params: BoTParams
-    init2d: InitConstants2D
-    init3d: InitConstants3D
+    init: InitConstants
 
 
 def build_bundle(
@@ -110,8 +106,7 @@ def build_bundle(
     gamma: float | None = None,
     params: PedestrianParams | None = None,
     bot_params: BoTParams | None = None,
-    init2d: InitConstants2D | None = None,
-    init3d: InitConstants3D | None = None,
+    init: InitConstants | None = None,
 ) -> ModelBundle:
     """Assemble models for one sequence; gamma defaults to min(W, H)."""
     if not frame_rate > 0:
@@ -122,13 +117,10 @@ def build_bundle(
     dt = 1.0 / frame_rate
     return ModelBundle(
         cam=cam,
-        gamma=gamma,
-        dt=dt,
         model2d=build_model_2d(dt, gamma, params),
         model3d=build_model_3d(dt, cam, gamma, params),
         bot_params=bot_params or BoTParams(),
-        init2d=init2d or InitConstants2D(),
-        init3d=init3d or InitConstants3D(),
+        init=init or InitConstants(),
     )
 
 
@@ -149,7 +141,7 @@ class FilterSpec(NamedTuple):
 FILTERS: dict[str, FilterSpec] = {
     "kf2d": FilterSpec(
         space="2d",
-        init=lambda z0, b: init_2d(z0, b.model2d.R, b.init2d),
+        init=lambda z0, b: init_2d(z0, b.model2d.R, b.init),
         predict=lambda est, b: kf_predict(est, b.model2d.F, b.model2d.Q),
         update=lambda est, z, b: kf_update(est, z, b.model2d.H, b.model2d.R),
         box=lambda est, b: linear_box_estimate(est),
@@ -163,7 +155,7 @@ FILTERS: dict[str, FilterSpec] = {
     ),
     "ukf3d": FilterSpec(
         space="3d",
-        init=lambda z0, b: init_3d(z0, b.model3d, b.init3d),
+        init=lambda z0, b: init_3d(z0, b.model3d, b.init),
         predict=lambda est, b: ukf_predict(est, b.model3d),
         update=lambda est, z, b: ukf_update(est, z, b.model3d),
         box=lambda est, b: project_estimate(est, b.model3d),
@@ -265,17 +257,16 @@ def score_trials(
 
     Each trial gives its frames with (L, n) means and (L, n, n)
     covariances.  The space's rows are scored against the annotated
-    boxes or, in ``3d``, their semi-annotations; a frame counts only when
-    every trial covers it.
+    boxes or, in ``3d``, their semi-annotations.  A trial with no frames
+    (one that stopped at initialization, and so wrote no estimates rows)
+    is left out; a frame counts only when every remaining trial covers it.
     """
     spec = SPACES[space]
     rows = list(spec.rows)
-    # A trial with no frames has no rows to pick.
     trials = [
         (frames, means[:, rows], covs[:, rows][:, :, rows])
-        if len(frames)
-        else (frames, means, covs)
         for frames, means, covs in trials
+        if len(frames)
     ]
     if spec.scored_in == "3d":
         truth = semi_annotate_3d(track.annotations, cam, guessed_height_m)

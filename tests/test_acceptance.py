@@ -29,7 +29,6 @@ from monotrack.dataio import build_tracks, parse_mot_file, semi_annotate_3d
 from monotrack.filters import GaussianEstimate, kf_update, unscented_kalman_update, unscented_transform
 from monotrack.metrics import anees
 from monotrack.models import (
-    ARParams,
     ar_discretize,
     build_model_3d,
     project_state,
@@ -162,16 +161,17 @@ def test_criterion_04_extent_process_stationarity():
     t0 = perf_counter()
     # Analytic invariance of the stationary mean and variance.
     worst = 0.0
-    cases = [ARParams(0.85, 0.15, 0.4), ARParams(1.65, 0.1, 4.0)]
+    # (stationary mean, stddev, time constant) of each process.
+    cases = [(0.85, 0.15, 0.4), (1.65, 0.1, 4.0)]
     rng = np.random.default_rng(404)
     cases += [
-        ARParams(rng.uniform(0.2, 2.0), rng.uniform(0.01, 0.5), rng.uniform(0.1, 10.0))
+        (rng.uniform(0.2, 2.0), rng.uniform(0.01, 0.5), rng.uniform(0.1, 10.0))
         for _ in range(20)
     ]
-    for params in cases:
-        alpha, additive, noise_var = ar_discretize(params, 1.0 / 30.0)
-        mean_err = abs(alpha * params.mean + additive - params.mean) / params.mean
-        var = params.stddev**2
+    for mean, stddev, tau in cases:
+        alpha, additive, noise_var = ar_discretize(mean, stddev, tau, 1.0 / 30.0)
+        mean_err = abs(alpha * mean + additive - mean) / mean
+        var = stddev**2
         var_err = abs(alpha**2 * var + noise_var - var) / var
         worst = max(worst, mean_err, var_err)
 
@@ -179,12 +179,12 @@ def test_criterion_04_extent_process_stationarity():
     # ten steps keeps the stationary variance within 3%.
     n = 100_000
     worst_sim = 0.0
-    for params in (ARParams(0.85, 0.15, 0.4), ARParams(1.65, 0.1, 4.0)):
-        alpha, additive, noise_var = ar_discretize(params, 1.0 / 30.0)
-        x = params.mean + params.stddev * rng.standard_normal(n)
+    for mean, stddev, tau in ((0.85, 0.15, 0.4), (1.65, 0.1, 4.0)):
+        alpha, additive, noise_var = ar_discretize(mean, stddev, tau, 1.0 / 30.0)
+        x = mean + stddev * rng.standard_normal(n)
         for _ in range(10):
             x = alpha * x + additive + np.sqrt(noise_var) * rng.standard_normal(n)
-        worst_sim = max(worst_sim, abs(x.var() / params.stddev**2 - 1.0))
+        worst_sim = max(worst_sim, abs(x.var() / stddev**2 - 1.0))
     elapsed = perf_counter() - t0
     check(
         4,

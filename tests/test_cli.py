@@ -225,17 +225,35 @@ def read_metric_columns(path: Path) -> list[tuple[str, str, str, str]]:
 
 
 @pytest.mark.parametrize(
-    "extra,n_trials",
-    [([], 1), (["--trials", "4", "--seed", "3"], 4)],
-    ids=["real", "simulated"],
+    "extra,code,n_trials",
+    [
+        ([], 0, {"kf2d": 1, "bot": 1, "ukf3d": 1}),
+        (["--trials", "4", "--seed", "3"], 0, {"kf2d": 4, "bot": 4, "ukf3d": 4}),
+        # At this image scale two ukf3d trials stop at their first frame,
+        # so they write no estimates rows and neither command scores them.
+        (
+            ["--trials", "8", "--seed", "3", "--gamma", "10000"],
+            2,
+            {"kf2d": 8, "bot": 8, "ukf3d": 6},
+        ),
+    ],
+    ids=["real", "simulated", "stopped"],
 )
 def test_evaluate_matches_run_summary(
-    synthetic_sequence, tmp_path, capsys, extra, n_trials
+    synthetic_sequence, tmp_path, capsys, extra, code, n_trials
 ):
     out = tmp_path / "results"
-    assert main(["run"] + seq_args(synthetic_sequence, out) + extra) == 0
+    assert main(["run"] + seq_args(synthetic_sequence, out) + extra) == code
     summary = read_summary(out / "SYN-01_id1_summary.csv")
-    capsys.readouterr()
+    # Each summary line, after its label, keyed by (filter, space).
+    run_lines = {
+        tuple(label.split()[2:]): stats
+        for label, _, stats in (
+            line.partition(": ")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("SYN-01 ")
+        )
+    }
 
     # Every estimates file of the run, with the (filter, space) it scores.
     for estimates, key in (
@@ -249,9 +267,11 @@ def test_evaluate_matches_run_summary(
         args = ["evaluate"] + seq_args(synthetic_sequence, out)
         args += ["--estimates", str(out / f"SYN-01_id1_{estimates}.csv")]
         assert main(args) == 0
-        assert f"trials={n_trials}" in capsys.readouterr().out
-        columns = read_metric_columns(out / f"SYN-01_id1_{estimates}_metrics.csv")
         name, space = key
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == f"SYN-01_id1_{estimates}.csv {space}: {run_lines[key]}"
+        assert run_lines[key].endswith(f" trials={n_trials[name]}")
+        columns = read_metric_columns(out / f"SYN-01_id1_{estimates}_metrics.csv")
         assert columns == read_metric_columns(
             out / f"SYN-01_id1_{name}_metrics_{space}.csv"
         )

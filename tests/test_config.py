@@ -7,17 +7,21 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monotrack.cli import _KEY_FLAGS
 from monotrack.config import (
+    SETTINGS,
     RunConfig,
     apply_config_file,
+    apply_setting,
     read_config_file,
     read_seqinfo,
     resolve_sequence,
 )
 from monotrack.exceptions import ConfigError
+from monotrack.models import measurement_noise
 
 
 def write(tmp_path: Path, text: str) -> Path:
@@ -81,7 +85,7 @@ def test_apply_config_file_folds_values(tmp_path):
     assert cfg.params.tau_h == 2.0
     assert cfg.bot_params.zeta_r == 0.1
     assert cfg.filters == ("ukf3d",)
-    assert cfg.init2d.max_speed_mps == 6.0 and cfg.init3d.max_speed_mps == 6.0
+    assert cfg.init.max_speed_mps == 6.0
     assert (cfg.trials, cfg.seed, cfg.dropout) == (25, 3, "none")
     assert cfg.image_size == (640, 480) and cfg.frame_rate == 25.0
     assert cfg.gamma == 480.0
@@ -107,6 +111,43 @@ def test_apply_config_file_rejects_bad_values(tmp_path):
         apply_config_file(cfg, read_config_file(path))
 
 
+# A valid text for each key that is not a plain number, different from
+# the key's default; every other key takes "0.5".
+_VALID_TEXTS = {
+    ("camera", "principal_point_px"): "320, 240",
+    ("filters", "names"): "ukf3d",
+    ("sim", "trials"): "5",
+    ("sim", "seed"): "7",
+    ("sim", "dropout"): "none",
+    ("run", "sequence"): "seq",
+    ("run", "gt"): "gt.txt",
+    ("run", "det"): "det.txt",
+    ("run", "image_width"): "640",
+    ("run", "image_height"): "480",
+    ("run", "track_ids"): "2, 5",
+    ("run", "iou_threshold"): "0.4",
+    ("run", "class_ids"): "1, 7",
+    ("run", "output_dir"): "out",
+}
+
+
+@pytest.mark.parametrize("section,key", list(SETTINGS))
+def test_every_setting_sets_its_declared_field(section, key):
+    cfg = RunConfig()
+    name, _, attr = SETTINGS[section, key][1].partition(".")
+
+    def declared():
+        held = getattr(cfg, name)
+        if not attr:
+            return held
+        return held[int(attr)] if isinstance(held, tuple) else getattr(held, attr)
+
+    before = declared()
+    apply_setting(cfg, section, key, _VALID_TEXTS.get((section, key), "0.5"))
+    assert declared() != before
+    cfg.bundle()
+
+
 def test_default_camera_centers_on_image():
     cfg = RunConfig(image_size=(640, 480))
     assert cfg.camera().principal_point_px == (320.0, 240.0)
@@ -115,7 +156,7 @@ def test_default_camera_centers_on_image():
 def test_bundle_uses_overrides():
     cfg = RunConfig(image_size=(640, 480), gamma=100.0)
     bundle = cfg.bundle()
-    assert bundle.gamma == 100.0
+    assert np.array_equal(bundle.model2d.R, measurement_noise(100.0))
     assert bundle.cam.principal_point_px == (320.0, 240.0)
 
 
@@ -175,7 +216,7 @@ def test_readme_config_example_folds(tmp_path):
     (block,) = re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
     cfg = RunConfig()
     apply_config_file(cfg, read_config_file(write(tmp_path, block)))
-    assert cfg.params.tau_h == 4.0 and cfg.init2d.mean_height_m == 1.65
+    assert cfg.params.tau_h == 4.0 and cfg.init.mean_height_m == 1.65
     assert (cfg.trials, cfg.seed, cfg.dropout) == (200, 7, "real")
     assert cfg.track_ids == (2,) and cfg.output_dir == Path("results")
 

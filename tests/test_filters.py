@@ -28,8 +28,7 @@ from monotrack.exceptions import (
 )
 from monotrack.filters import (
     GaussianEstimate,
-    InitConstants2D,
-    InitConstants3D,
+    InitConstants,
     bot_init,
     bot_predict,
     bot_update,
@@ -423,7 +422,7 @@ def test_init_2d_scales_with_box_height():
 
 def test_init_2d_custom_constants():
     r = measurement_noise(1080.0)
-    consts = InitConstants2D(mean_height_m=1.8, max_speed_mps=6.0)
+    consts = InitConstants(mean_height_m=1.8, max_speed_mps=6.0)
     est = init_2d(np.array([0.0, 0.0, 50.0, 180.0]), r, consts)
     assert est.cov[1, 1] == pytest.approx((100.0 * 2.0) ** 2, rel=1e-12)
 
@@ -609,7 +608,7 @@ def test_linear_box_estimate_selects_measured_rows():
 
 def test_init_constants_validation():
     with pytest.raises(ValueError):
-        InitConstants2D(mean_height_m=0.0)
+        InitConstants(mean_height_m=0.0)
     with pytest.raises(ValueError):
-        InitConstants3D(max_speed_mps=-1.0)
-    assert InitConstants3D().v_rdot == 1.0
+        InitConstants(max_speed_mps=-1.0)
+    assert InitConstants().v_rdot == 1.0

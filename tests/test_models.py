@@ -15,9 +15,7 @@ import pytest
 from monotrack.camera import DEPTH_EPSILON, CameraIntrinsics
 from monotrack.exceptions import DepthNonPositive, InvalidTimestep
 from monotrack.models import (
-    ARParams,
     BoTParams,
-    NCVParams,
     PedestrianParams,
     R_UNIT,
     ar_discretize,
@@ -40,12 +38,12 @@ ALPHA_TAU04_T30 = 0.92004441462932325
 
 
 def test_ncv_transition():
-    f, _ = ncv_discretize(NCVParams(1.0, 0.5))
+    f, _ = ncv_discretize(1.0, 0.5)
     assert np.array_equal(f, [[1.0, 0.5], [0.0, 1.0]])
 
 
 def test_ncv_noise_video_rate():
-    _, q = ncv_discretize(NCVParams(1.0, 1.0 / 30.0))
+    _, q = ncv_discretize(1.0, 1.0 / 30.0)
     expected = np.array(
         [[1.2345679012345679e-05, 5.555555555555556e-04],
          [5.555555555555556e-04, 3.3333333333333333e-02]]
@@ -54,31 +52,31 @@ def test_ncv_noise_video_rate():
 
 
 def test_ncv_noise_unit_step():
-    _, q = ncv_discretize(NCVParams(1.0, 1.0))
+    _, q = ncv_discretize(1.0, 1.0)
     assert q == pytest.approx(np.array([[1 / 3, 1 / 2], [1 / 2, 1.0]]), rel=1e-15)
 
 
 def test_ncv_zero_psd():
-    _, q = ncv_discretize(NCVParams(0.0, 0.1))
+    _, q = ncv_discretize(0.0, 0.1)
     assert not q.any()
 
 
 def test_ncv_rejects_bad_inputs():
     with pytest.raises(InvalidTimestep):
-        ncv_discretize(NCVParams(1.0, 0.0))
+        ncv_discretize(1.0, 0.0)
     with pytest.raises(ValueError):
-        ncv_discretize(NCVParams(-1.0, 0.1))
+        ncv_discretize(-1.0, 0.1)
 
 
 def test_ncv_noise_is_psd():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        _, q = ncv_discretize(NCVParams(rng.uniform(0, 10), rng.uniform(1e-3, 10)))
+        _, q = ncv_discretize(rng.uniform(0, 10), rng.uniform(1e-3, 10))
         assert np.linalg.eigvalsh(q).min() >= -1e-15
 
 
 def test_ar_discretize_video_rate():
-    alpha, additive, noise_var = ar_discretize(ARParams(1.65, 0.1, 4.0), 1.0 / 30.0)
+    alpha, additive, noise_var = ar_discretize(1.65, 0.1, 4.0, 1.0 / 30.0)
     assert alpha == pytest.approx(ALPHA_TAU4_T30, rel=1e-12)
     assert additive == pytest.approx((1 - ALPHA_TAU4_T30) * 1.65, rel=1e-12)
     assert noise_var == pytest.approx(1.6528546178382511e-04, rel=1e-12)
@@ -86,31 +84,29 @@ def test_ar_discretize_video_rate():
 
 def test_ar_stationarity_identity():
     # alpha m + (1 - alpha) m = m and alpha^2 s^2 + s^2 (1 - alpha^2) = s^2.
-    params = ARParams(0.85, 0.15, 0.4)
-    alpha, additive, noise_var = ar_discretize(params, 1.0 / 30.0)
-    assert alpha * params.mean + additive == pytest.approx(params.mean, rel=1e-14)
-    assert alpha**2 * params.stddev**2 + noise_var == pytest.approx(
-        params.stddev**2, rel=1e-14
-    )
+    mean, stddev = 0.85, 0.15
+    alpha, additive, noise_var = ar_discretize(mean, stddev, 0.4, 1.0 / 30.0)
+    assert alpha * mean + additive == pytest.approx(mean, rel=1e-14)
+    assert alpha**2 * stddev**2 + noise_var == pytest.approx(stddev**2, rel=1e-14)
 
 
 def test_ar_limits():
     # Infinite time constant: a frozen parameter.
-    alpha, additive, noise_var = ar_discretize(ARParams(1.0, 0.2, np.inf), 0.1)
+    alpha, additive, noise_var = ar_discretize(1.0, 0.2, np.inf, 0.1)
     assert (alpha, additive, noise_var) == (1.0, 0.0, 0.0)
     # Infinite step: one draw from the stationary law.
-    alpha, additive, noise_var = ar_discretize(ARParams(1.0, 0.2, 0.5), np.inf)
+    alpha, additive, noise_var = ar_discretize(1.0, 0.2, 0.5, np.inf)
     assert (alpha, additive) == (0.0, 1.0)
     assert noise_var == pytest.approx(0.04, rel=1e-15)
 
 
 def test_ar_rejects_bad_inputs():
     with pytest.raises(InvalidTimestep):
-        ar_discretize(ARParams(1.0, 0.1, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        ARParams(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ARParams(1.0, 0.1, -2.0)
+        ar_discretize(1.0, 0.1, 1.0, 0.0)
+    with pytest.raises(ValueError, match="stddev"):
+        ar_discretize(1.0, 0.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="time constant"):
+        ar_discretize(1.0, 0.1, -2.0, 0.1)
 
 
 def test_measurement_matrix_selects_box_rows():
@@ -143,7 +139,7 @@ def test_build_model_2d_structure():
         assert np.array_equal(model.F[s, s], f_block)
     assert np.count_nonzero(model.F) == 12
     # Process noise blocks scale the unit NCV noise by gamma^2 q.
-    _, t_mat = ncv_discretize(NCVParams(1.0, dt))
+    _, t_mat = ncv_discretize(1.0, dt)
     for i, q in enumerate((0.011, 0.037, 0.013, 0.025)):
         s = slice(2 * i, 2 * i + 2)
         assert model.Q[s, s] == pytest.approx(1080.0**2 * q * t_mat, rel=1e-12)
@@ -168,7 +164,7 @@ def test_build_model_3d_extent_entries():
 def test_build_model_3d_position_blocks_use_unit_psd():
     dt = 1.0 / 30.0
     model = build_model_3d(dt, CAM, 1080.0)
-    _, t_mat = ncv_discretize(NCVParams(1.0, dt))
+    _, t_mat = ncv_discretize(1.0, dt)
     for i in range(3):
         s = slice(2 * i, 2 * i + 2)
         assert model.Q[s, s] == pytest.approx(t_mat, rel=1e-15)
@@ -177,7 +173,7 @@ def test_build_model_3d_position_blocks_use_unit_psd():
 def test_build_model_3d_honors_overrides():
     params = PedestrianParams(q_z=4.0, tau_h=2.0)
     model = build_model_3d(0.1, CAM, 1080.0, params)
-    _, t_mat = ncv_discretize(NCVParams(4.0, 0.1))
+    _, t_mat = ncv_discretize(4.0, 0.1)
     assert model.Q[4:6, 4:6] == pytest.approx(t_mat, rel=1e-15)
     assert model.F[7, 7] == pytest.approx(np.exp(-0.05), rel=1e-12)
 

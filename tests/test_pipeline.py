@@ -21,6 +21,7 @@ from monotrack import pipeline
 from monotrack.dataio import BoundingBox, TrackSequence
 from monotrack.exceptions import ConfigError
 from monotrack.filters import GaussianEstimate, kf_predict, kf_update, ukf_predict
+from monotrack.models import measurement_noise
 from monotrack.pipeline import (
     FILTER_NAMES,
     FilterRun,
@@ -43,8 +44,8 @@ from conftest import DROPPED_FRAMES, FRAME_RATE, IMAGE_SIZE
 
 def test_build_bundle_defaults():
     bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
-    assert bundle.gamma == 1080.0
-    assert bundle.dt == pytest.approx(1.0 / 30.0)
+    assert np.array_equal(bundle.model2d.R, measurement_noise(1080.0))
+    assert bundle.model2d.F[0, 1] == pytest.approx(1.0 / 30.0)
     assert bundle.cam.principal_point_px == (960.0, 540.0)
     assert bundle.model2d.R[0, 0] == pytest.approx(26.034048, rel=1e-12)
 
