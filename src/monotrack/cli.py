@@ -42,7 +42,7 @@ from .dataio import (
     write_mot_file,
 )
 from .exceptions import ConfigError, EstimationError, ParseError
-from .metrics import EvalSeries
+from .metrics import EvalSeries, TrialStack
 from .pipeline import (
     SPACES,
     ModelBundle,
@@ -250,11 +250,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_estimates_csv(
-    path: Path,
-) -> tuple[str, list[tuple[list[int], np.ndarray, np.ndarray]]]:
-    """Read back an estimates CSV: its space tag and, per trial in trial
-    order, the frames with their (L, n) means and (L, n, n) covariances."""
+def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
+    """Read back an estimates CSV: its space tag and its trials' stack.
+
+    The trials with rows are stacked in trial order.  Each one's frames
+    must begin the frames of the longest, as a run writes them.
+    """
     frames: list[int] = []
     by_trial: dict[int, list[int]] = {}
     tags: set[str] = set()
@@ -295,17 +296,21 @@ def _read_estimates_csv(
     space = tags.pop()
     if space not in SPACES or len(SPACES[space].names) != n:
         raise ParseError(1, f"space {space!r} does not fit {n} mean columns")
+    trial_rows = [rows for _, rows in sorted(by_trial.items())]
+    longest = [frames[r] for r in max(trial_rows, key=len)]
+    if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
+        raise ParseError(None, "a trial's frames do not begin the longest trial's")
     table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
-    means = table[:, :n]
-    covs = np.zeros((len(frames), n, n))
     upper = np.triu_indices(n)
-    covs[:, upper[0], upper[1]] = table[:, n:]
-    covs[:, upper[1], upper[0]] = table[:, n:]
-    trials = [
-        ([frames[r] for r in rows], means[rows], covs[rows])
-        for _, rows in sorted(by_trial.items())
-    ]
-    return space, trials
+    means = np.zeros((len(trial_rows), len(longest), n))
+    covs = np.zeros((len(trial_rows), len(longest), n, n))
+    for t, rows in enumerate(trial_rows):
+        means[t, : len(rows)] = table[rows, :n]
+        block = covs[t, : len(rows)]
+        block[:, upper[0], upper[1]] = table[rows, n:]
+        block[:, upper[1], upper[0]] = table[rows, n:]
+    ends = np.array([len(rows) for rows in trial_rows])
+    return space, TrialStack(longest, means, covs, ends)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -317,8 +322,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     track = next(iter(tracks.values()))
     estimates_path = Path(args.estimates)
-    space, trials = _read_estimates_csv(estimates_path)
-    series = score_trials(track, space, trials, cfg.camera(), cfg.guessed_height_m)
+    space, stack = _read_estimates_csv(estimates_path)
+    series = score_trials(track, space, stack, cfg.camera(), cfg.guessed_height_m)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"{estimates_path.stem}_metrics.csv"
     write_metrics_csv(out_path, *series)

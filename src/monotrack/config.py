@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,9 +96,12 @@ class RunConfig:
 
 def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 def _int(raw: str) -> int:

@@ -25,6 +25,15 @@ update are formed:
 
 The sigma set is the plain symmetric one: 2n points at mean +- sqrt(n)
 times the Cholesky columns of the covariance, each weighted 1/(2n).
+
+Every step takes one estimate ((n,) mean, (n, n) covariance) or a stack
+of M trials' estimates ((M, n) and (M, n, n)), with detections shaped to
+match, and gives each stacked trial bit for bit the result it would get
+alone.  So the forms below are chosen for that: matrix-vector products
+as ``(A @ x[..., None])[..., 0]``, transposes as ``swapaxes(-1, -2)``
+and squares of data as ``np.float_power(x, 2)``.  An error raised for a
+stack does not say which trial caused it; the caller re-runs the step
+per trial to find out.
 """
 
 from __future__ import annotations
@@ -60,16 +69,56 @@ _SYM_RTOL = 1e-9
 _EIG_RTOL = 1e-9
 
 
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix of a stack."""
+    return mat.swapaxes(-1, -2)
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` for a vector or a stack of them, rounded for each one
+    as ``mat @ vec`` rounds it alone (``vec @ mat.T`` is not)."""
+    if vec.ndim == 1:
+        return mat @ vec
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _check_estimate(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Validate one estimate; see ``GaussianEstimate``."""
+    # Each check tries an exact sufficient condition first and runs the
+    # full test only when that fails: a finite sum has finite terms, an
+    # exactly symmetric matrix passes the tolerance, and a matrix that
+    # Cholesky factorizes has no eigenvalue below the bound (both read
+    # the same lower triangle).
+    if not math.isfinite(mean.sum() + cov.sum()):
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise InvalidEstimate("estimate has non-finite entries")
+    if not (cov == cov.T).all():
+        scale = np.abs(cov).max()
+        if np.abs(cov - cov.T).max() > _SYM_RTOL * max(scale, 1e-300):
+            raise InvalidEstimate("covariance is not symmetric")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        trace = np.trace(cov)
+        if np.linalg.eigvalsh(cov).min() < -_EIG_RTOL * max(trace, 0.0):
+            raise InvalidEstimate(
+                "covariance is not positive semidefinite"
+            ) from None
+
+
 @dataclass(frozen=True)
 class GaussianEstimate:
-    """A Gaussian state belief at one frame.
+    """A Gaussian state belief at one frame, or a stack of M trials' beliefs.
 
-    Construction validates that the entries are finite and that the
+    ``mean`` is (n,) with an (n, n) ``cov``, or (M, n) with (M, n, n).
+    Construction validates that the entries are finite and that each
     covariance is square, symmetric to 1e-9 relative and has no
     eigenvalue below -1e-9 times its trace, so anything a filter emits is
-    safe to factorize or serialize.  A failed check raises
-    ``InvalidEstimate`` (a ``ValueError``), or ``DimensionMismatch`` for
-    a shape error.
+    safe to factorize or serialize.  A stack takes the exact sufficient
+    conditions (finite sum, exact symmetry, Cholesky) in one call and is
+    checked trial by trial only if one fails.  A failed check raises
+    ``InvalidEstimate`` (a ``ValueError``) for the first invalid trial,
+    or ``DimensionMismatch`` for a shape error.
     """
 
     mean: np.ndarray
@@ -80,44 +129,29 @@ class GaussianEstimate:
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        if mean.ndim not in (1, 2) or cov.shape != mean.shape + mean.shape[-1:]:
             raise DimensionMismatch(
                 f"mean {mean.shape} does not match covariance {cov.shape}"
             )
-        # Each check tries an exact sufficient condition first and runs
-        # the full test only when that fails: a finite sum has finite
-        # terms, an exactly symmetric matrix passes the tolerance, and a
-        # matrix that Cholesky factorizes has no eigenvalue below the
-        # bound (both read the same lower triangle).
-        if not math.isfinite(mean.sum() + cov.sum()):
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-                raise InvalidEstimate("estimate has non-finite entries")
-        if not (cov == cov.T).all():
-            scale = np.abs(cov).max()
-            if np.abs(cov - cov.T).max() > _SYM_RTOL * max(scale, 1e-300):
-                raise InvalidEstimate("covariance is not symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            trace = np.trace(cov)
-            if np.linalg.eigvalsh(cov).min() < -_EIG_RTOL * max(trace, 0.0):
-                raise InvalidEstimate(
-                    "covariance is not positive semidefinite"
-                ) from None
+        if mean.ndim == 1:
+            _check_estimate(mean, cov)
+            return
+        if math.isfinite(mean.sum() + cov.sum()) and (cov == _t(cov)).all():
+            try:
+                np.linalg.cholesky(cov)
+                return
+            except np.linalg.LinAlgError:
+                pass
+        for one_mean, one_cov in zip(mean, cov):
+            _check_estimate(one_mean, one_cov)
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
-def sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L L^T = cov.
-
-    The zero matrix factors to zero.  A factorization failure gets one
-    retry with diagonal jitter 1e-12 trace/n; a second failure raises
-    ``DecompositionFailure``.
-    """
-    cov = np.asarray(cov, dtype=float)
+def _sqrt_one(cov: np.ndarray) -> np.ndarray:
+    """``sqrt_psd`` of one matrix."""
     if not cov.any():
         return np.zeros_like(cov)
     try:
@@ -134,6 +168,24 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def sqrt_psd(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L with L L^T = cov, of one matrix or of
+    each matrix of a stack.
+
+    The zero matrix factors to zero.  A factorization failure gets one
+    retry with diagonal jitter 1e-12 trace/n; a second failure raises
+    ``DecompositionFailure``.  A stack is factorized in one call, and
+    matrix by matrix only if that fails.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim == 2:
+        return _sqrt_one(cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return np.stack([_sqrt_one(one) for one in cov])
+
+
 @dataclass(frozen=True)
 class SigmaSet:
     """The mean of the sigma points' images and the scaled deviations.
@@ -141,7 +193,8 @@ class SigmaSet:
     The columns of ``dev_x`` and ``dev_y`` are the 2n sigma points'
     deviations from the input mean and their images' deviations from
     ``mean_y``, scaled by 1/sqrt(2n), so that dev dev^T recovers each
-    covariance directly.
+    covariance directly.  For a stacked input every field has the stack
+    axis first.
     """
 
     mean_y: np.ndarray
@@ -150,11 +203,11 @@ class SigmaSet:
 
     @property
     def cov_y(self) -> np.ndarray:
-        return self.dev_y @ self.dev_y.T
+        return self.dev_y @ _t(self.dev_y)
 
     @property
     def cross_cov(self) -> np.ndarray:
-        return self.dev_x @ self.dev_y.T
+        return self.dev_x @ _t(self.dev_y)
 
 
 def unscented_transform(
@@ -162,33 +215,39 @@ def unscented_transform(
     cov: np.ndarray,
     transform: Callable[[np.ndarray], np.ndarray],
 ) -> SigmaSet:
-    """Propagate a Gaussian through a function with the symmetric sigma set.
+    """Propagate a Gaussian, or a stack of them, through a function with
+    the symmetric sigma set.
 
-    ``transform`` receives the whole (n, 2n) matrix of column points and
-    must return the (m, 2n) matrix of column images; it may raise
+    ``transform`` receives the whole (n, 2n) matrix of column points, or
+    the (M, n, 2n) stack of them, and must return the (m, 2n) matrix (or
+    the (M, m, 2n) stack) of column images; it may raise
     ``FunctionDomainError`` (or a subclass) to reject a point outside its
     domain.  An affine transform is reproduced exactly up to rounding.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    n = mean.shape[0]
-    if cov.shape != (n, n):
-        raise DimensionMismatch(f"covariance {cov.shape} does not match mean ({n},)")
+    n = mean.shape[-1]
+    if cov.shape != mean.shape + (n,):
+        raise DimensionMismatch(
+            f"covariance {cov.shape} does not match mean {mean.shape}"
+        )
     spread = math.sqrt(n) * sqrt_psd(cov)
-    points = np.empty((n, 2 * n))
-    points[:, :n] = mean[:, None] + spread
-    points[:, n:] = mean[:, None] - spread
-    transformed = np.atleast_2d(np.asarray(transform(points), dtype=float))
-    if transformed.shape[1] != 2 * n:
+    points = np.empty(mean.shape + (2 * n,))
+    points[..., :n] = mean[..., None] + spread
+    points[..., n:] = mean[..., None] - spread
+    transformed = np.asarray(transform(points), dtype=float)
+    if transformed.ndim == points.ndim - 1:
+        transformed = transformed[..., None, :]
+    if transformed.shape[:-2] != mean.shape[:-1] or transformed.shape[-1] != 2 * n:
         raise DimensionMismatch(
             f"transform returned {transformed.shape}, expected (m, {2 * n})"
         )
-    mean_y = transformed.mean(axis=1)
+    mean_y = transformed.mean(axis=-1)
     root = math.sqrt(2 * n)
     return SigmaSet(
         mean_y=mean_y,
-        dev_x=(points - mean[:, None]) / root,
-        dev_y=(transformed - mean_y[:, None]) / root,
+        dev_x=(points - mean[..., None]) / root,
+        dev_y=(transformed - mean_y[..., None]) / root,
     )
 
 
@@ -196,7 +255,7 @@ def _check_linear_dims(
     est: GaussianEstimate, F: np.ndarray, Q: np.ndarray
 ) -> None:
     n = est.dim
-    if F.shape != (n, n) or Q.shape != (n, n):
+    if F.shape != (n, n) or Q.shape not in ((n, n), est.cov.shape):
         raise DimensionMismatch(
             f"transition {F.shape} / noise {Q.shape} do not match state ({n},)"
         )
@@ -208,11 +267,11 @@ def kf_predict(
     Q: np.ndarray,
     offset: np.ndarray | None = None,
 ) -> GaussianEstimate:
-    """One linear prediction step."""
+    """One linear prediction step; ``Q`` may hold one noise per trial."""
     F = np.asarray(F, dtype=float)
     Q = np.asarray(Q, dtype=float)
     _check_linear_dims(est, F, Q)
-    mean = F @ est.mean
+    mean = _matvec(F, est.mean)
     if offset is not None:
         mean = mean + np.asarray(offset, dtype=float)
     cov = symmetrize(F @ est.cov @ F.T + Q)
@@ -220,7 +279,8 @@ def kf_predict(
 
 
 def _innovation_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S X = rhs for symmetric S, rejecting singular innovations."""
+    """Solve S X = rhs for symmetric S (or each of a stack), rejecting
+    singular innovations."""
     try:
         np.linalg.cholesky(S)
         return np.linalg.solve(S, rhs)
@@ -232,8 +292,8 @@ def joseph_covariance(
     P: np.ndarray, K: np.ndarray, H: np.ndarray, R: np.ndarray
 ) -> np.ndarray:
     """Joseph-form posterior covariance for an arbitrary gain."""
-    a = np.eye(P.shape[0]) - K @ H
-    return symmetrize(a @ P @ a.T + K @ R @ K.T)
+    a = np.eye(P.shape[-1]) - K @ H
+    return symmetrize(a @ P @ _t(a) + K @ R @ _t(K))
 
 
 def kf_update(
@@ -244,15 +304,15 @@ def kf_update(
     H = np.asarray(H, dtype=float)
     R = np.asarray(R, dtype=float)
     n = pred.dim
-    m = z.shape[0]
-    if H.shape != (m, n) or R.shape != (m, m):
+    m = z.shape[-1]
+    if H.shape != (m, n) or R.shape != (m, m) or z.shape[:-1] != pred.mean.shape[:-1]:
         raise DimensionMismatch(
             f"measurement {z.shape} / matrix {H.shape} / noise {R.shape} disagree"
         )
     S = symmetrize(H @ pred.cov @ H.T + R)
     # K = P H^T S^{-1}; solve on the transposed system keeps S factorized once.
-    K = _innovation_solve(S, H @ pred.cov).T
-    mean = pred.mean + K @ (z - H @ pred.mean)
+    K = _t(_innovation_solve(S, H @ pred.cov))
+    mean = pred.mean + _matvec(K, z - _matvec(H, pred.mean))
     cov = joseph_covariance(pred.cov, K, H, R)
     return GaussianEstimate(mean, cov)
 
@@ -279,12 +339,28 @@ class InitConstants:
         return (self.max_speed_mps / 3.0) ** 2
 
 
+def _box_heights(z0: np.ndarray) -> np.ndarray:
+    """Heights of a first box or a stack of them, all of which must be
+    positive."""
+    heights = z0[..., 3]
+    bad = heights[~(heights > 0)]
+    if bad.size:
+        raise NonPositiveHeight(f"box height must be positive, got {bad[0]}")
+    return heights
+
+
+def _add_diagonal(cov: np.ndarray, diag: np.ndarray) -> None:
+    """Add ``diag`` to the diagonal of a matrix or of each of a stack."""
+    rows = np.arange(cov.shape[-1])
+    cov[..., rows, rows] += diag
+
+
 def init_2d(
     z0: np.ndarray,
     R: np.ndarray,
     consts: InitConstants | None = None,
 ) -> GaussianEstimate:
-    """First estimate of the 2D filter from one bounding box.
+    """First estimate of the 2D filter from one bounding box (or a stack).
 
     The box fixes the measured components with the detector noise; the
     unmeasured rates get zero mean and a variance sized so three sigma
@@ -292,30 +368,34 @@ def init_2d(
     """
     consts = consts or InitConstants()
     z0 = np.asarray(z0, dtype=float)
-    if not z0[3] > 0:
-        raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")
+    scale = _box_heights(z0) / consts.mean_height_m
     # H^T zero-pads the box into the state; rate slots carry 1/s units.
     h = measurement_matrix()
-    mean = h.T @ z0
-    scale = z0[3] / consts.mean_height_m
-    v_pos = (scale * consts.max_speed_mps / 3.0) ** 2
-    v_ext = (scale * consts.max_extent_rate_mps / 3.0) ** 2
+    mean = _matvec(h.T, z0)
+    rate_var = np.zeros(z0.shape[:-1] + (8,))
+    rate_var[..., 1] = rate_var[..., 3] = np.float_power(
+        scale * consts.max_speed_mps / 3.0, 2
+    )
+    rate_var[..., 5] = rate_var[..., 7] = np.float_power(
+        scale * consts.max_extent_rate_mps / 3.0, 2
+    )
     cov = h.T @ np.asarray(R, dtype=float) @ h
-    cov[np.diag_indices(8)] += np.array([0, v_pos, 0, v_pos, 0, v_ext, 0, v_ext])
+    cov = np.broadcast_to(cov, rate_var.shape + (8,)).copy()
+    _add_diagonal(cov, rate_var)
     return GaussianEstimate(mean, symmetrize(cov))
 
 
 def bot_init(z0: np.ndarray, params: BoTParams | None = None) -> GaussianEstimate:
-    """First estimate of the heuristic baseline from one bounding box."""
+    """First estimate of the heuristic baseline from one bounding box (or
+    a stack)."""
     params = params or BoTParams()
     z0 = np.asarray(z0, dtype=float)
-    if not z0[3] > 0:
-        raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")
-    mean = measurement_matrix().T @ z0
+    heights = _box_heights(z0)
+    mean = _matvec(measurement_matrix().T, z0)
     # Same extent-proportional pattern as the running noise, widened by
     # 2 on positions and 10 on rates.
     wide = BoTParams(2.0 * params.zeta_r, 10.0 * params.zeta_rdot)
-    cov = bot_process_noise(z0[2], z0[3], wide)
+    cov = bot_process_noise(z0[..., 2], heights, wide)
     return GaussianEstimate(mean, cov)
 
 
@@ -324,7 +404,7 @@ def bot_predict(
 ) -> GaussianEstimate:
     """Baseline prediction; process noise from the filtered extents of k-1."""
     params = params or BoTParams()
-    Q = bot_process_noise(est.mean[4], est.mean[6], params)
+    Q = bot_process_noise(est.mean[..., 4], est.mean[..., 6], params)
     return kf_predict(est, bot_transition_matrix(), Q)
 
 
@@ -339,19 +419,28 @@ def bot_update(
     params = params or BoTParams()
     z = np.asarray(z, dtype=float)
     H = measurement_matrix()
-    R = bot_measurement_noise(pred.mean[4], pred.mean[6], params)
+    R = bot_measurement_noise(pred.mean[..., 4], pred.mean[..., 6], params)
     S = symmetrize(H @ pred.cov @ H.T + R)
-    K = _innovation_solve(S, H @ pred.cov).T
-    mean = pred.mean + K @ (z - H @ pred.mean)
-    cov = symmetrize(pred.cov - K @ S @ K.T)
+    K = _t(_innovation_solve(S, H @ pred.cov))
+    mean = pred.mean + _matvec(K, z - _matvec(H, pred.mean))
+    cov = symmetrize(pred.cov - K @ S @ _t(K))
     return GaussianEstimate(mean, cov)
 
 
 def bb_measurement_fn(model: ModelSet3D) -> Callable[[np.ndarray], np.ndarray]:
-    """Composite measurement map: project to image space, keep the box."""
+    """Composite measurement map: project to image space, keep the box.
+
+    Every column of a stack of point matrices goes through one
+    ``project_state`` call.
+    """
+    rows = list(MEASURED_ROWS)
 
     def transform(points: np.ndarray) -> np.ndarray:
-        return project_state(model, points)[list(MEASURED_ROWS)]
+        # (M, n, 2n) -> (n, M, 2n) and back; a no-op for one matrix.
+        images = project_state(model, points.swapaxes(0, -2))[rows]
+        # Contiguous, so that each trial's mean over its sigma images
+        # sums in the same order as it would alone.
+        return np.ascontiguousarray(images.swapaxes(0, -2))
 
     return transform
 
@@ -374,16 +463,16 @@ def unscented_kalman_update(
     z = np.asarray(z, dtype=float)
     R = np.asarray(R, dtype=float)
     sigma = unscented_transform(pred.mean, pred.cov, transform)
-    m = sigma.mean_y.shape[0]
-    if z.shape != (m,) or R.shape != (m, m):
+    m = sigma.mean_y.shape[-1]
+    if z.shape != sigma.mean_y.shape or R.shape != (m, m):
         raise DimensionMismatch(
             f"measurement {z.shape} / noise {R.shape} do not match transform ({m},)"
         )
     S = symmetrize(sigma.cov_y + R)
-    K = _innovation_solve(S, sigma.cross_cov.T).T
-    mean = pred.mean + K @ (z - sigma.mean_y)
+    K = _t(_innovation_solve(S, _t(sigma.cross_cov)))
+    mean = pred.mean + _matvec(K, z - sigma.mean_y)
     residual_dev = sigma.dev_x - K @ sigma.dev_y
-    cov = symmetrize(residual_dev @ residual_dev.T + K @ R @ K.T)
+    cov = symmetrize(residual_dev @ _t(residual_dev) + K @ R @ _t(K))
     return GaussianEstimate(mean, cov)
 
 
@@ -418,7 +507,8 @@ POSITION_LIFT[0, 0] = POSITION_LIFT[2, 1] = POSITION_LIFT[4, 2] = 1.0
 def _position_fix_fn(
     model: ModelSet3D, z0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Backprojection of the first box as a function of its unknowns.
+    """Backprojection of the first box (or of each of a stack) as a
+    function of its unknowns.
 
     The argument columns are [x-noise, y-noise, height-noise, body
     height]; the denoised bottom-center and pixel height [z0]_4 minus its
@@ -426,17 +516,17 @@ def _position_fix_fn(
     with a non-positive denoised height raises ``NonPositiveHeight``.
     """
     cu, cv = model.cam.principal_point_px
+    u = (z0[..., 0] - cu)[..., None]
+    v = (z0[..., 1] - cv)[..., None]
+    height_px = z0[..., 3, None]
 
     def transform(points: np.ndarray) -> np.ndarray:
-        noise_u, noise_v, noise_h, height_m = points
+        noise_u, noise_v, noise_h, height_m = points.swapaxes(0, -2)
         return np.stack(
             backproject(
-                model.cam,
-                z0[0] - cu - noise_u,
-                z0[1] - cv - noise_v,
-                z0[3] - noise_h,
-                height_m,
-            )
+                model.cam, u - noise_u, v - noise_v, height_px - noise_h, height_m
+            ),
+            axis=-2,
         )
 
     return transform
@@ -447,7 +537,7 @@ def init_3d(
     model: ModelSet3D,
     consts: InitConstants | None = None,
 ) -> GaussianEstimate:
-    """First estimate of the 3D filter from one bounding box.
+    """First estimate of the 3D filter from one bounding box (or a stack).
 
     The box's bottom-center and height fix the position by an unscented
     pass through the backprojection, with the body height prior supplying
@@ -456,22 +546,24 @@ def init_3d(
     """
     consts = consts or InitConstants()
     z0 = np.asarray(z0, dtype=float)
-    if not z0[3] > 0:
-        raise NonPositiveHeight(f"box height must be positive, got {z0[3]}")
+    _box_heights(z0)
     p = model.params
+    lead = z0.shape[:-1]
     mean_in = np.array([0.0, 0.0, 0.0, p.mean_h])
     cov_in = np.zeros((4, 4))
     cov_in[:3, :3] = INIT_NOISE_SELECTOR @ model.R @ INIT_NOISE_SELECTOR.T
     cov_in[3, 3] = p.sigma_h**2
-    sigma = unscented_transform(mean_in, cov_in, _position_fix_fn(model, z0))
-    mean = POSITION_LIFT @ sigma.mean_y
-    mean[6] = p.mean_w
-    mean[7] = p.mean_h
+    sigma = unscented_transform(
+        np.broadcast_to(mean_in, lead + (4,)),
+        np.broadcast_to(cov_in, lead + (4, 4)),
+        _position_fix_fn(model, z0),
+    )
+    mean = _matvec(POSITION_LIFT, sigma.mean_y)
+    mean[..., 6] = p.mean_w
+    mean[..., 7] = p.mean_h
     cov = POSITION_LIFT @ sigma.cov_y @ POSITION_LIFT.T
     v = consts.v_rdot
-    cov[np.diag_indices(8)] += np.array(
-        [0, v, 0, v, 0, v, p.sigma_w**2, p.sigma_h**2]
-    )
+    _add_diagonal(cov, np.array([0, v, 0, v, 0, v, p.sigma_w**2, p.sigma_h**2]))
     return GaussianEstimate(mean, symmetrize(cov))
 
 
@@ -491,4 +583,4 @@ def project_estimate(
 def linear_box_estimate(est: GaussianEstimate) -> GaussianEstimate:
     """Bounding-box Gaussian of a linear-state estimate: H mean, H P H^T."""
     h = measurement_matrix()
-    return GaussianEstimate(h @ est.mean, symmetrize(h @ est.cov @ h.T))
+    return GaussianEstimate(_matvec(h, est.mean), symmetrize(h @ est.cov @ h.T))

@@ -118,31 +118,55 @@ class EvalSeries:
         return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def stack_trials(
-    frames: Sequence[int],
-    trials: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Stacked (K', M, n) means and (K', M, n, n) covariances of M trials.
+@dataclass(frozen=True)
+class TrialStack:
+    """Estimates of M trials along a track, one row per frame.
 
-    Each trial gives the frames it covers with its (L, n) means and
-    (L, n, n) covariances in the same order; a frame listed twice keeps
-    its last row.  Only the frames that every trial covers are stacked,
-    keeping the trial count constant; their K' indices into ``frames``
-    come first.  The result is the input of ``evaluate_track``.
+    ``means`` is (M, K, n) and ``covs`` (M, K, n, n); row k of every
+    trial belongs to frame ``frames[k]``.  Trial t holds its first
+    ``ends[t]`` rows: a trial that stopped early leaves the rows after
+    its end undefined, and one with end 0 has no estimates.
     """
-    rows = [
-        {frame: row for row, frame in enumerate(trial_frames)}
-        for trial_frames, _, _ in trials
-    ]
-    kept = [
-        k for k, frame in enumerate(frames) if rows and all(frame in r for r in rows)
-    ]
-    if not kept:
-        return kept, np.empty(0), np.empty(0)
-    picks = [[r[frames[k]] for k in kept] for r in rows]
-    means = np.stack([np.asarray(m)[p] for (_, m, _), p in zip(trials, picks)], axis=1)
-    covs = np.stack([np.asarray(c)[p] for (_, _, c), p in zip(trials, picks)], axis=1)
-    return kept, means, covs
+
+    frames: list[int]
+    means: np.ndarray
+    covs: np.ndarray
+    ends: np.ndarray
+
+
+def stack_trials(
+    frames: Sequence[int], stack: TrialStack
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Stacked (K', M', n) means and (K', M', n, n) covariances of a
+    stack's trials.
+
+    The stack's frames must be consecutive entries of ``frames``.
+    Trials with no rows are left out; of the rest, only the rows that
+    every trial holds are kept, so the trial count stays constant.  The
+    K' kept indices into ``frames`` come first.  The result is the
+    input of ``evaluate_track``.
+    """
+    live = np.flatnonzero(stack.ends)
+    if not live.size:
+        return [], np.empty(0), np.empty(0)
+    frames = list(frames)
+    first = stack.frames[0]
+    start = frames.index(first) if first in frames else 0
+    if frames[start : start + len(stack.frames)] != list(stack.frames):
+        raise FrameMisalignment(
+            f"estimate frames {stack.frames[0]}..{stack.frames[-1]} are not "
+            "consecutive frames of the track"
+        )
+    stop = int(stack.ends[live].min())
+    means, covs = stack.means[:, :stop], stack.covs[:, :stop]
+    if live.size < len(stack.ends):
+        means, covs = means[live], covs[live]
+    # Frame-major and contiguous, as a per-frame stack of the trials is.
+    return (
+        list(range(start, start + stop)),
+        np.ascontiguousarray(means.swapaxes(0, 1)),
+        np.ascontiguousarray(covs.swapaxes(0, 1)),
+    )
 
 
 def evaluate_track(

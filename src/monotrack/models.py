@@ -69,8 +69,8 @@ def _blkdiag(*blocks: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Average a matrix with its transpose."""
-    return 0.5 * (mat + mat.T)
+    """Average a matrix (or each matrix of a stack) with its transpose."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -249,13 +249,15 @@ def build_model_3d(
 
 
 def project_state(model: ModelSet3D, state: np.ndarray) -> np.ndarray:
-    """Project a 3D state (or a matrix of column states) to image space.
+    """Project a 3D state, or an (8, ...) array of them, to image space.
 
-    Output layout matches the 2D state: positions and extents through the
-    pinhole map, their rates through its time derivative.  The extent
-    rates treat w and h as instantaneously constant, so only the depth
-    rate contributes.  Raises ``DepthNonPositive`` if any column's depth
-    is at or behind the camera plane.
+    The first axis holds the state components, so one call projects
+    every column of a matrix of column states, or of a stack of such
+    matrices.  Output layout matches the 2D state: positions and extents
+    through the pinhole map, their rates through its time derivative.
+    The extent rates treat w and h as instantaneously constant, so only
+    the depth rate contributes.  Raises ``DepthNonPositive`` if any
+    column's depth is at or behind the camera plane.
     """
     s = np.asarray(state, dtype=float)
     x, vx, y, vy, z, vz, w, h = s
@@ -283,26 +285,46 @@ def bot_transition_matrix() -> np.ndarray:
     return _blkdiag(step, step, step, step)
 
 
-def _extent_weights(width_px: float, height_px: float) -> np.ndarray:
-    # Width drives the x and w noise, height the y and h noise.
-    return np.array([width_px**2, height_px**2, width_px**2, height_px**2])
+def _extent_weights(
+    width_px: float | np.ndarray, height_px: float | np.ndarray
+) -> np.ndarray:
+    """[w^2, h^2, w^2, h^2] of one extent pair, or (M, 4) of M pairs."""
+    # Width drives the x and w noise, height the y and h noise.  The
+    # squares go through pow, as a scalar's ** 2 does; an array's ** 2
+    # multiplies, which differs in the last bit on some values.
+    squares = np.float_power(np.array([width_px, height_px]), 2)
+    return squares[[0, 1, 0, 1]].T
+
+
+def _diagonal_matrix(diag: np.ndarray) -> np.ndarray:
+    """Diagonal matrix of a vector, or a stack of them for a stack."""
+    n = diag.shape[-1]
+    out = np.zeros(diag.shape + (n,))
+    out.reshape(diag.shape[:-1] + (n * n,))[..., :: n + 1] = diag
+    return out
 
 
 def bot_process_noise(
-    width_px: float, height_px: float, params: BoTParams | None = None
+    width_px: float | np.ndarray,
+    height_px: float | np.ndarray,
+    params: BoTParams | None = None,
 ) -> np.ndarray:
-    """Per-step process noise proportional to the squared filtered extents."""
+    """Per-step process noise proportional to the squared filtered extents,
+    one matrix per extent pair when given arrays of them."""
     params = params or BoTParams()
     w2 = _extent_weights(width_px, height_px)
-    diag = np.empty(8)
-    diag[0::2] = w2 * params.zeta_r**2
-    diag[1::2] = w2 * params.zeta_rdot**2
-    return np.diag(diag)
+    diag = np.empty(w2.shape[:-1] + (8,))
+    diag[..., 0::2] = w2 * params.zeta_r**2
+    diag[..., 1::2] = w2 * params.zeta_rdot**2
+    return _diagonal_matrix(diag)
 
 
 def bot_measurement_noise(
-    width_px: float, height_px: float, params: BoTParams | None = None
+    width_px: float | np.ndarray,
+    height_px: float | np.ndarray,
+    params: BoTParams | None = None,
 ) -> np.ndarray:
-    """Measurement noise proportional to the squared predicted extents."""
+    """Measurement noise proportional to the squared predicted extents,
+    one matrix per extent pair when given arrays of them."""
     params = params or BoTParams()
-    return np.diag(_extent_weights(width_px, height_px) * params.zeta_r**2)
+    return _diagonal_matrix(_extent_weights(width_px, height_px) * params.zeta_r**2)

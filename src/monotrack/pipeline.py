@@ -6,15 +6,19 @@ the results against the annotations in bounding-box space and, for the
 3D filter, against semi-annotations in camera space.
 
 Estimates begin at the first frame with a detection; frames with no
-detection advance by prediction only.  A filter that leaves its domain
-(for example, a sigma point falling behind the camera) stops for that
-track and trial; such frames are excluded from the metrics and counted
-as skipped.
+detection advance by prediction only.  The M trials of a filter step
+together: each frame is one call of each filter step on the (M, n)
+stack of the trials' estimates, and real detections are the M = 1 case
+of the same loop.  A filter that leaves its domain (for example, a
+sigma point falling behind the camera) stops only the trial it belongs
+to, which keeps its estimates up to the frame before; the other trials
+go on.  Frames that some trial did not reach are excluded from the
+metrics and counted as skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,6 +29,7 @@ from .dataio import TrackSequence, format_float, format_floats, semi_annotate_3d
 from .exceptions import (
     ConfigError,
     DecompositionFailure,
+    DimensionMismatch,
     FunctionDomainError,
     InvalidEstimate,
     SingularInnovation,
@@ -44,7 +49,7 @@ from .filters import (
     ukf_predict,
     ukf_update,
 )
-from .metrics import EvalSeries, evaluate_track, stack_trials
+from .metrics import EvalSeries, TrialStack, evaluate_track, stack_trials
 from .models import (
     MEASURED_ROWS,
     BoTParams,
@@ -166,53 +171,179 @@ FILTER_NAMES = tuple(FILTERS)
 
 @dataclass
 class FilterRun:
-    """One filter's pass over one track with one detection series."""
+    """One filter's pass over one track with M trials' detections.
+
+    ``native`` and ``boxes`` hold the estimates in the filter's own space
+    and in box space; they share their frames and per-trial ends.
+    ``failures[t]`` says why trial t stopped early, or is None.
+    """
 
     filter_name: str
-    frames: list[int] = field(default_factory=list)
-    native: list[GaussianEstimate] = field(default_factory=list)
-    boxes: list[GaussianEstimate] = field(default_factory=list)
-    failure: str | None = None
+    native: TrialStack
+    boxes: TrialStack
+    failures: list[str | None]
+
+    @property
+    def frames(self) -> list[int]:
+        return self.native.frames
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.native.ends
+
+    @property
+    def failure(self) -> str | None:
+        """The first stopped trial's failure, or None if none stopped."""
+        return next((f for f in self.failures if f is not None), None)
+
+    def estimates(self, space: str) -> TrialStack:
+        """The ``bb`` estimates or those of the native space."""
+        return self.boxes if space == "bb" else self.native
+
+    def stop(self, trial: int, row: int, exc: Exception) -> None:
+        """End a trial before ``row`` with the error that stopped it."""
+        self.failures[trial] = f"{type(exc).__name__}: {exc}"
+        self.ends[trial] = row
+
+
+def _empty_run(filter_name: str, frames: list[int], trials: int) -> FilterRun:
+    """A run of zeroed stacks in which every trial reaches the last frame."""
+    n = len(SPACES[FILTERS[filter_name].space].names)
+    k = len(frames)
+    ends = np.full(trials, k)
+    return FilterRun(
+        filter_name,
+        TrialStack(frames, np.zeros((trials, k, n)), np.zeros((trials, k, n, n)), ends),
+        TrialStack(frames, np.zeros((trials, k, 4)), np.zeros((trials, k, 4, 4)), ends),
+        [None] * trials,
+    )
+
+
+_Step = Callable[[GaussianEstimate | None, np.ndarray | None], GaussianEstimate]
+
+
+def _advance(
+    step: _Step,
+    est: GaussianEstimate | None,
+    z: np.ndarray | None,
+    active: np.ndarray,
+    run: FilterRun,
+    row: int,
+) -> tuple[GaussianEstimate | None, np.ndarray]:
+    """One step of every active trial at once: the stacked result and the
+    trials still active after it.
+
+    ``est`` stacks the active trials and ``z`` holds every trial's
+    detection.  If the stacked step stops, each active trial takes the
+    step alone: one that stops ends before ``row`` with its failure, and
+    the rest go on with the rows they got alone, which equal their rows
+    of a stacked step.  A lone trial has no stack axis and is already
+    alone.
+    """
+    alone = len(run.failures) == 1
+    z_active = z if z is None or alone or len(z) == active.size else z[active]
+    try:
+        return step(est, z_active), active
+    except _TRACK_STOPPERS as exc:
+        if alone:
+            run.stop(0, row, exc)
+            return None, active[:0]
+    kept: list[int] = []
+    results: list[GaussianEstimate] = []
+    for i, trial in enumerate(active.tolist()):
+        one = None if est is None else GaussianEstimate(est.mean[i], est.cov[i])
+        try:
+            results.append(step(one, None if z_active is None else z_active[i]))
+        except _TRACK_STOPPERS as exc:
+            run.stop(trial, row, exc)
+        else:
+            kept.append(i)
+    if not results:
+        return None, active[:0]
+    stacked = GaussianEstimate(
+        np.stack([r.mean for r in results]), np.stack([r.cov for r in results])
+    )
+    return stacked, active[kept]
+
+
+def _stack_detections(
+    trials: Sequence[Sequence[np.ndarray | None]],
+) -> list[np.ndarray | None]:
+    """Per-frame (M, 4) stacks of M trials' detections, None where the
+    trials have none; they must miss the same frames.  A lone trial keeps
+    its 4-vectors, so it takes each step exactly as a trial re-run alone
+    does."""
+    if len(trials) == 1:
+        return [None if z is None else np.asarray(z, dtype=float) for z in trials[0]]
+    stacks: list[np.ndarray | None] = []
+    for frame in zip(*trials):
+        missing = [z is None for z in frame]
+        if not any(missing):
+            stacks.append(np.array(frame, dtype=float))
+        elif all(missing):
+            stacks.append(None)
+        else:
+            raise DimensionMismatch("trials must miss the same frames")
+    return stacks
 
 
 def run_filter(
     track: TrackSequence,
-    detections: list[np.ndarray | None],
+    trials: Sequence[Sequence[np.ndarray | None]],
     bundle: ModelBundle,
     filter_name: str,
 ) -> FilterRun:
-    """Push one filter along a track.
+    """Push one filter along a track, every trial in the same steps.
 
-    ``detections`` aligns with ``track.frames``.  The filter initializes
-    at the first detection, predicts across every frame step (including
-    annotation gaps, which may span several sampling periods), and
-    updates where a detection exists.
+    ``trials`` holds M detection series, each aligned with
+    ``track.frames`` with None where the detector missed; the trials
+    miss the same frames.  The filter initializes at the first
+    detection, predicts across every frame step (including annotation
+    gaps, which may span several sampling periods), and updates where a
+    detection exists.  A trial that leaves the filter's domain stops at
+    that frame, alone; its rows up to the frame before stay.
     """
     spec = FILTERS.get(filter_name)
     if spec is None:
         raise ConfigError(f"unknown filter {filter_name!r}")
-    run = FilterRun(filter_name)
-    start = next((i for i, z in enumerate(detections) if z is not None), None)
+    m = len(trials)
+    stacks = _stack_detections(trials)
+    start = next((i for i, z in enumerate(stacks) if z is not None), None)
     if start is None:
-        run.failure = "no detections to initialize from"
+        run = _empty_run(filter_name, [], m)
+        run.failures[:] = ["no detections to initialize from"] * m
         return run
-    try:
-        for i in range(start, len(track.frames)):
-            if i == start:
-                est = spec.init(detections[i], bundle)
-            else:
-                for _ in range(track.frames[i] - track.frames[i - 1]):
-                    est = spec.predict(est, bundle)
-                if detections[i] is not None:
-                    est = spec.update(est, detections[i], bundle)
-            # Project before appending so a failure cannot leave the lists
-            # at different lengths.
-            box = spec.box(est, bundle)
-            run.frames.append(track.frames[i])
-            run.native.append(est)
-            run.boxes.append(box)
-    except _TRACK_STOPPERS as exc:
-        run.failure = f"{type(exc).__name__}: {exc}"
+    frames = list(track.frames)
+    run = _empty_run(filter_name, frames[start:], m)
+    init: _Step = lambda _, z: spec.init(z, bundle)  # noqa: E731
+    predict: _Step = lambda est, _: spec.predict(est, bundle)  # noqa: E731
+    update: _Step = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
+    box_of: _Step = lambda est, _: spec.box(est, bundle)  # noqa: E731
+    active = np.arange(m)
+    est: GaussianEstimate | None = None
+    for row, i in enumerate(range(start, len(frames))):
+        if row == 0:
+            steps = [(init, stacks[i])]
+        else:
+            steps = [(predict, None)] * (frames[i] - frames[i - 1])
+            if stacks[i] is not None:
+                steps.append((update, stacks[i]))
+        for step, z in steps:
+            est, active = _advance(step, est, z, active, run, row)
+            if not active.size:
+                return run
+        # Box before storing, so a trial that stops here stores neither.
+        box, boxed = _advance(box_of, est, None, active, run, row)
+        if not boxed.size:
+            return run
+        if boxed.size < active.size:
+            keep = np.isin(active, boxed)
+            est, active = GaussianEstimate(est.mean[keep], est.cov[keep]), boxed
+        stored = slice(None) if active.size == m else active
+        run.native.means[stored, row] = est.mean
+        run.native.covs[stored, row] = est.cov
+        run.boxes.means[stored, row] = box.mean
+        run.boxes.covs[stored, row] = box.cov
     return run
 
 
@@ -231,66 +362,52 @@ class TrackResult:
     """All runs and metrics of one track."""
 
     track: TrackSequence
-    runs: dict[str, list[FilterRun]]
+    runs: dict[str, FilterRun]
     metrics: dict[tuple[str, str], tuple[EvalSeries, EvalSeries]]
     n_failures: int
-
-
-def _trial_arrays(
-    run: FilterRun, space: str
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """One trial's frames with its stacked ``bb`` or native estimates."""
-    estimates = run.boxes if space == "bb" else run.native
-    means = np.array([est.mean for est in estimates])
-    covs = np.array([est.cov for est in estimates])
-    return run.frames, means, covs
 
 
 def score_trials(
     track: TrackSequence,
     space: str,
-    trials: Sequence[tuple[Sequence[int], np.ndarray, np.ndarray]],
+    stack: TrialStack,
     cam: CameraIntrinsics,
     guessed_height_m: float,
 ) -> tuple[EvalSeries, EvalSeries]:
-    """RMSE and ANEES series of trials of one estimate space.
+    """RMSE and ANEES series of a stack of trials of one estimate space.
 
-    Each trial gives its frames with (L, n) means and (L, n, n)
-    covariances.  The space's rows are scored against the annotated
-    boxes or, in ``3d``, their semi-annotations.  A trial with no frames
-    (one that stopped at initialization, and so wrote no estimates rows)
-    is left out; a frame counts only when every remaining trial covers it.
+    The space's rows are scored against the annotated boxes or, in
+    ``3d``, their semi-annotations.  A trial with no rows (one that
+    stopped at initialization, and so wrote no estimates rows) is left
+    out; a frame counts only when every remaining trial covers it.
     """
     spec = SPACES[space]
     rows = list(spec.rows)
-    trials = [
-        (frames, means[:, rows], covs[:, rows][:, :, rows])
-        for frames, means, covs in trials
-        if len(frames)
-    ]
+    stack = replace(
+        stack, means=stack.means[..., rows], covs=stack.covs[..., rows, :][..., rows]
+    )
     if spec.scored_in == "3d":
         truth = semi_annotate_3d(track.annotations, cam, guessed_height_m)
     else:
         truth = np.stack([box.as_vector() for box in track.annotations])
-    kept, means, covs = stack_trials(track.frames, trials)
+    kept, means, covs = stack_trials(track.frames, stack)
     return evaluate_track(truth, kept, means, covs, track.frames, spec.scored_in)
 
 
 def evaluate_runs(
     track: TrackSequence,
-    runs: list[FilterRun],
+    run: FilterRun,
     bundle: ModelBundle,
     guessed_height_m: float,
 ) -> dict[str, tuple[EvalSeries, EvalSeries]]:
     """Score one filter's trials in box space and, if its native space is
     scored in camera space, there too."""
     out: dict[str, tuple[EvalSeries, EvalSeries]] = {}
-    for space in ("bb", FILTERS[runs[0].filter_name].space):
+    for space in ("bb", FILTERS[run.filter_name].space):
         scored_in = SPACES[space].scored_in
         if scored_in not in out:
-            trials = [_trial_arrays(run, space) for run in runs]
             out[scored_in] = score_trials(
-                track, space, trials, bundle.cam, guessed_height_m
+                track, space, run.estimates(space), bundle.cam, guessed_height_m
             )
     return out
 
@@ -312,27 +429,27 @@ def run_track(
         trials = simulate_detections(track, sim_cfg)
     else:
         trials = [real_detection_vectors(track)]
-    runs: dict[str, list[FilterRun]] = {}
+    runs: dict[str, FilterRun] = {}
     metrics: dict[tuple[str, str], tuple[EvalSeries, EvalSeries]] = {}
     n_failures = 0
     for name in filter_names:
-        filter_runs = [run_filter(track, trial, bundle, name) for trial in trials]
-        n_failures += sum(1 for r in filter_runs if r.failure is not None)
-        runs[name] = filter_runs
+        run = run_filter(track, trials, bundle, name)
+        n_failures += sum(f is not None for f in run.failures)
+        runs[name] = run
         for space, series_pair in evaluate_runs(
-            track, filter_runs, bundle, guessed_height_m
+            track, run, bundle, guessed_height_m
         ).items():
             metrics[(name, space)] = series_pair
     return TrackResult(track, runs, metrics, n_failures)
 
 
 def write_estimates_csv(
-    path: Path, track: TrackSequence, runs: list[FilterRun], space: str
+    path: Path, track: TrackSequence, stack: TrialStack, space: str
 ) -> None:
     """Per-trial, per-frame means and row-major upper-triangle covariances.
 
-    Rows are formatted and written one trial at a time, so memory stays
-    bounded by the longest trial.
+    Rows are formatted and written one trial at a time, so the text in
+    memory stays bounded by the longest trial.
     """
     names = SPACES[space].names
     n = len(names)
@@ -344,15 +461,17 @@ def write_estimates_csv(
     )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for trial, run in enumerate(runs):
-            if not run.frames:
+        for trial, end in enumerate(stack.ends.tolist()):
+            if not end:
                 continue
-            frames, means, covs = _trial_arrays(run, space)
-            values = np.concatenate([means, covs[:, upper[0], upper[1]]], axis=1)
+            covs = stack.covs[trial, :end]
+            values = np.concatenate(
+                [stack.means[trial, :end], covs[:, upper[0], upper[1]]], axis=1
+            )
             handle.writelines(
                 f"{trial},{frame},{track.first_frame + frame},{space},"
                 f"{format_floats(row)}\n"
-                for frame, row in zip(frames, values.tolist())
+                for frame, row in zip(stack.frames, values.tolist())
             )
 
 
@@ -396,10 +515,10 @@ def write_track_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{seq_name}_id{result.track.object_id}"
     written: list[Path] = []
-    for name in result.runs:
+    for name, run in result.runs.items():
         for space in (FILTERS[name].space, "bb"):
             path = out_dir / f"{stem}_{name}_estimates_{space}.csv"
-            write_estimates_csv(path, result.track, result.runs[name], space)
+            write_estimates_csv(path, result.track, run.estimates(space), space)
             written.append(path)
     for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
         path = out_dir / f"{stem}_{name}_metrics_{space}.csv"

@@ -299,6 +299,8 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         ("trial,k,frame,space", ["0,0,1,xy"]),
         ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,3d"]),
         ("trial,k,frame,space", []),
+        ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,bb", "1,1,2,bb"]),
+        ("trial,k,frame,space", ["0,500,501,bb"]),
     ],
     ids=[
         "no-space-column",
@@ -307,6 +309,8 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         "unknown-space",
         "mixed-spaces",
         "no-rows",
+        "trial-starts-late",
+        "frame-not-in-track",
     ],
 )
 def test_evaluate_rejects_malformed_estimates(
@@ -433,6 +437,30 @@ def test_out_of_range_values_exit_1(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra,ini,message",
+    [
+        (["--frame-rate", "inf"], None, "[run] frame_rate: not a finite number: 'inf'"),
+        (["--gamma", "inf"], None, "[run] gamma: not a finite number: 'inf'"),
+        (["--gamma", "nan"], None, "[run] gamma: not a finite number: 'nan'"),
+        ([], "[models]\ntau_h = nan\n", "[models] tau_h: not a finite number: 'nan'"),
+    ],
+    ids=["frame-rate-inf", "gamma-inf", "gamma-nan", "tau_h-nan"],
+)
+def test_non_finite_values_exit_1(
+    synthetic_sequence, tmp_path, capsys, extra, ini, message
+):
+    # inf and nan pass every "> 0" range check, so the parser rejects
+    # them and names the key they were given for.
+    args = ["run"] + seq_args(synthetic_sequence, tmp_path) + ["--trials", "2"] + extra
+    if ini is not None:
+        config = tmp_path / "run.ini"
+        config.write_text(ini, encoding="utf-8")
+        args += ["--config", str(config)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _key_case(flag, section, key, field, first, second):

@@ -5,6 +5,7 @@ and the per-track evaluation series.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,7 +21,14 @@ from monotrack.exceptions import (
     FrameMisalignment,
     SingularCovariance,
 )
-from monotrack.metrics import EvalSeries, anees, evaluate_track, rmse, stack_trials
+from monotrack.metrics import (
+    EvalSeries,
+    TrialStack,
+    anees,
+    evaluate_track,
+    rmse,
+    stack_trials,
+)
 
 
 # -------------------------------------------------------------------- rmse
@@ -258,20 +266,26 @@ def test_batched_metrics_reject_mismatch():
 
 
 def test_stack_trials_keeps_frames_every_trial_covers():
-    def trial(frames, offset):
-        means = np.array([[f + offset, 0.0] for f in frames])
-        covs = np.array([np.eye(2) * (f + 1) for f in frames])
-        return frames, means, covs
-
-    # Trial 1 stops after frame 2; trial 0 lists frame 1 twice (last wins).
-    trials = [trial([0, 1, 1, 2, 3], 0.0), trial([0, 1, 2], 0.5)]
-    trials[0][1][1] = -1.0
-    kept, means, covs = stack_trials([0, 1, 2, 3], trials)
-    assert kept == [0, 1, 2]
-    assert means.shape == (3, 2, 2) and covs.shape == (3, 2, 2, 2)
-    assert np.array_equal(means[0], [[0.0, 0.0], [0.5, 0.0]])
-    assert np.array_equal(means[1], [[1.0, 0.0], [1.5, 0.0]])
-    assert np.array_equal(covs[2], [np.eye(2) * 3, np.eye(2) * 3])
-    assert stack_trials([0, 1], [])[0] == []
-    empty = ([], np.array([]), np.array([]))
-    assert stack_trials([0, 1], [trials[1], empty])[0] == []
+    # Three trials over track frames 1..3 of 0..3: trial 1 stopped after
+    # frame 2 and trial 2 before its first row (its rows are garbage).
+    frames = [1, 2, 3]
+    means = np.full((3, 3, 2), -1.0)
+    covs = np.full((3, 3, 2, 2), -1.0)
+    for t in range(2):
+        for k, f in enumerate(frames):
+            means[t, k] = [f + 0.5 * t, 0.0]
+            covs[t, k] = np.eye(2) * (f + 1)
+    stack = TrialStack(frames, means, covs, np.array([3, 2, 0]))
+    kept, means, covs = stack_trials([0, 1, 2, 3], stack)
+    assert kept == [1, 2]
+    assert means.shape == (2, 2, 2) and covs.shape == (2, 2, 2, 2)
+    assert means.flags.c_contiguous and covs.flags.c_contiguous
+    assert np.array_equal(means[0], [[1.0, 0.0], [1.5, 0.0]])
+    assert np.array_equal(means[1], [[2.0, 0.0], [2.5, 0.0]])
+    assert np.array_equal(covs[1], [np.eye(2) * 3, np.eye(2) * 3])
+    empty = dataclasses.replace(stack, ends=np.array([0, 0, 0]))
+    assert stack_trials([0, 1, 2, 3], empty)[0] == []
+    # The stack's frames must be consecutive frames of the track.
+    for track_frames in ([0, 1, 3], [5, 6]):
+        with pytest.raises(FrameMisalignment):
+            stack_trials(track_frames, stack)

@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from monotrack import pipeline
 from monotrack.dataio import BoundingBox, TrackSequence
 from monotrack.exceptions import ConfigError
 from monotrack.filters import GaussianEstimate, kf_predict, kf_update, ukf_predict
+from monotrack.metrics import TrialStack
 from monotrack.models import measurement_noise
 from monotrack.pipeline import (
     FILTER_NAMES,
-    FilterRun,
     build_bundle,
     evaluate_runs,
     real_detection_vectors,
@@ -36,7 +37,13 @@ from monotrack.pipeline import (
 )
 from monotrack.sim import SimConfig
 
-from conftest import DROPPED_FRAMES, FRAME_RATE, IMAGE_SIZE
+from conftest import (
+    DROPPED_FRAMES,
+    FRAME_RATE,
+    IMAGE_SIZE,
+    synthetic_truth,
+    truth_boxes,
+)
 
 
 # ------------------------------------------------------------------- bundle
@@ -58,28 +65,35 @@ def test_build_bundle_rejects_bad_frame_rate():
 # --------------------------------------------------------------- run_filter
 
 
+def estimate_at(stack: TrialStack, k: int, trial: int = 0) -> GaussianEstimate:
+    """One trial's estimate at row k of a stack."""
+    return GaussianEstimate(stack.means[trial, k], stack.covs[trial, k])
+
+
 def test_run_filter_rejects_unknown_name(synthetic_sequence, synthetic_bundle):
     track = synthetic_sequence.track()
     with pytest.raises(ConfigError):
-        run_filter(track, real_detection_vectors(track), synthetic_bundle, "ekf")
+        run_filter(track, [real_detection_vectors(track)], synthetic_bundle, "ekf")
 
 
 def test_run_filter_without_detections_records_failure(
     synthetic_sequence, synthetic_bundle
 ):
     track = synthetic_sequence.track(with_detections=False)
-    run = run_filter(track, real_detection_vectors(track), synthetic_bundle, "kf2d")
+    run = run_filter(track, [real_detection_vectors(track)], synthetic_bundle, "kf2d")
     assert run.failure is not None
-    assert not run.frames and not run.native
+    assert not run.frames and run.ends.tolist() == [0]
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_run_filter_covers_every_frame(synthetic_sequence, synthetic_bundle, name):
     track = synthetic_sequence.track()
-    run = run_filter(track, real_detection_vectors(track), synthetic_bundle, name)
+    run = run_filter(track, [real_detection_vectors(track)], synthetic_bundle, name)
     assert run.failure is None
     assert run.frames == track.frames
-    assert len(run.native) == len(run.boxes) == len(track.frames)
+    assert run.ends.tolist() == [len(track.frames)]
+    assert run.native.means.shape[:2] == run.boxes.means.shape[:2]
+    assert run.native.means.shape[:2] == (1, len(track.frames))
 
 
 def test_dropped_frames_are_pure_predictions(synthetic_sequence, synthetic_bundle):
@@ -88,16 +102,16 @@ def test_dropped_frames_are_pure_predictions(synthetic_sequence, synthetic_bundl
     dropped = sorted(k - 1 for k in DROPPED_FRAMES)
     assert all(detections[k] is None for k in dropped)
 
-    run2d = run_filter(track, detections, synthetic_bundle, "kf2d")
-    run3d = run_filter(track, detections, synthetic_bundle, "ukf3d")
+    run2d = run_filter(track, [detections], synthetic_bundle, "kf2d")
+    run3d = run_filter(track, [detections], synthetic_bundle, "ukf3d")
     m2, m3 = synthetic_bundle.model2d, synthetic_bundle.model3d
     for k in dropped:
-        expected = kf_predict(run2d.native[k - 1], m2.F, m2.Q)
-        assert run2d.native[k].mean == pytest.approx(expected.mean, rel=1e-15)
-        assert run2d.native[k].cov == pytest.approx(expected.cov, rel=1e-15)
-        expected = ukf_predict(run3d.native[k - 1], m3)
-        assert run3d.native[k].mean == pytest.approx(expected.mean, rel=1e-15)
-        assert run3d.native[k].cov == pytest.approx(expected.cov, rel=1e-15)
+        expected = kf_predict(estimate_at(run2d.native, k - 1), m2.F, m2.Q)
+        assert run2d.native.means[0, k] == pytest.approx(expected.mean, rel=1e-15)
+        assert run2d.native.covs[0, k] == pytest.approx(expected.cov, rel=1e-15)
+        expected = ukf_predict(estimate_at(run3d.native, k - 1), m3)
+        assert run3d.native.means[0, k] == pytest.approx(expected.mean, rel=1e-15)
+        assert run3d.native.covs[0, k] == pytest.approx(expected.cov, rel=1e-15)
 
 
 def test_annotation_gaps_advance_by_one_step_per_frame():
@@ -105,16 +119,16 @@ def test_annotation_gaps_advance_by_one_step_per_frame():
     track = TrackSequence(1, [0, 1, 4], list(boxes))
     bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
     detections = [box.as_vector() for box in boxes]
-    run = run_filter(track, detections, bundle, "kf2d")
+    run = run_filter(track, [detections], bundle, "kf2d")
     assert run.frames == [0, 1, 4]
     # Three prediction steps bridge the gap from frame 1 to frame 4.
     m2 = bundle.model2d
-    expected = run.native[1]
+    expected = estimate_at(run.native, 1)
     for _ in range(3):
         expected = kf_predict(expected, m2.F, m2.Q)
     expected = kf_update(expected, detections[2], m2.H, m2.R)
-    assert run.native[2].mean == pytest.approx(expected.mean, rel=1e-15)
-    assert run.native[2].cov == pytest.approx(expected.cov, rel=1e-15)
+    assert run.native.means[0, 2] == pytest.approx(expected.mean, rel=1e-15)
+    assert run.native.covs[0, 2] == pytest.approx(expected.cov, rel=1e-15)
 
 
 def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
@@ -125,15 +139,15 @@ def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
     track = TrackSequence(1, list(range(4)), list(boxes))
     track.detections = list(boxes)
     run = run_filter(
-        track, real_detection_vectors(track), synthetic_bundle, "ukf3d"
+        track, [real_detection_vectors(track)], synthetic_bundle, "ukf3d"
     )
     assert run.failure is not None
     assert "DepthNonPositive" in run.failure or "NonPositiveHeight" in run.failure
-    assert len(run.frames) == len(run.native) == len(run.boxes) == 0
+    assert run.ends.tolist() == [0]
 
     result = run_track(track, synthetic_bundle, ("kf2d", "ukf3d"), 1.65)
     assert result.n_failures == 1
-    assert result.runs["kf2d"][0].failure is None
+    assert result.runs["kf2d"].failure is None
     # The failed filter contributes an empty series, not a crash.
     rmse_series, anees_series = result.metrics[("ukf3d", "bb")]
     assert rmse_series.frames == () and np.isnan(anees_series.median)
@@ -148,8 +162,8 @@ def test_invalid_estimate_stops_only_that_trial(synthetic_bundle):
     with np.errstate(over="ignore"):
         result = run_track(track, synthetic_bundle, ("kf2d", "bot"), 1.65)
     assert result.n_failures == 1
-    assert result.runs["kf2d"][0].failure is None
-    failure = result.runs["bot"][0].failure
+    assert result.runs["kf2d"].failure is None
+    failure = result.runs["bot"].failure
     assert failure == "InvalidEstimate: estimate has non-finite entries"
 
 
@@ -195,7 +209,7 @@ def test_filter_steps_call_rebound_module_names(monkeypatch, name):
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
     track = TrackSequence(1, [0, 1, 3], [box] * 3)
     bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
-    run = run_filter(track, [box.as_vector()] * 3, bundle, name)
+    run = run_filter(track, [[box.as_vector()] * 3], bundle, name)
     assert run.failure is None
     # One init, three predictions (one into frame 1, two across the
     # gap), two updates and a box for each of the three frames.
@@ -210,7 +224,7 @@ def test_run_track_real_detections(synthetic_sequence, synthetic_bundle):
     result = run_track(track, synthetic_bundle, FILTER_NAMES, 1.65)
     assert result.n_failures == 0
     assert set(result.runs) == set(FILTER_NAMES)
-    assert all(len(runs) == 1 for runs in result.runs.values())
+    assert all(len(run.failures) == 1 for run in result.runs.values())
     spaces = {space for _, space in result.metrics}
     assert spaces == {"bb", "3d"}
     for (name, space), (rmse_series, anees_series) in result.metrics.items():
@@ -240,9 +254,36 @@ def test_run_track_simulated_consistency(synthetic_sequence, synthetic_bundle):
     assert rmse_bb["ukf3d"] <= rmse_bb["kf2d"]
     # Camera-space consistency against the semi-annotations.
     assert 0.5 < result.metrics[("ukf3d", "3d")][1].median < 1.25
-    for runs in result.runs.values():
-        assert len(runs) == 40
+    for run in result.runs.values():
+        assert len(run.failures) == 40
     assert result.metrics[("kf2d", "bb")][0].n_trials == 40
+
+
+def test_synthetic_headline_replay(synthetic_bundle):
+    # The headline experiment's shape on model-drawn truth: one 600-frame
+    # track, 200 trials, each filter timed alone as criteria 6-7 time it.
+    # An extra check beside criteria 6-8, which need MOT-17.  Criterion
+    # 7's ordering kf2d > ukf3d > bot is not asserted: on truth drawn
+    # from the 3D model the baseline is overconfident, not pessimistic.
+    # Time-median box ANEES on this track, which recedes to 70 m:
+    # kf2d 0.883, ukf3d 0.932, bot 5.70 (box RMSE 7.05, 4.99, 8.51 px);
+    # on the benchmark's seed-101 track bot 1.160 is above kf2d 1.129.
+    boxes = [BoundingBox(*box) for box in truth_boxes(synthetic_truth(n_frames=600))]
+    track = TrackSequence(1, list(range(600)), boxes)
+    sim = SimConfig(200, 20240815, synthetic_bundle.model2d.R, None)
+    metrics = {}
+    times = {}
+    for name in FILTER_NAMES:
+        t0 = perf_counter()
+        result = run_track(track, synthetic_bundle, (name,), 1.65, sim)
+        times[name] = perf_counter() - t0
+        assert result.n_failures == 0
+        metrics.update(result.metrics)
+    anees_bb = {name: metrics[(name, "bb")][1].median for name in FILTER_NAMES}
+    rmse_bb = {name: metrics[(name, "bb")][0].median for name in FILTER_NAMES}
+    assert 0.80 <= anees_bb["ukf3d"] <= 1.25, anees_bb
+    assert rmse_bb["ukf3d"] <= rmse_bb["kf2d"], rmse_bb
+    assert times["ukf3d"] < 120.0 and sum(times.values()) < 300.0, times
 
 
 def test_evaluate_runs_keeps_trial_count_constant(synthetic_bundle):
@@ -251,12 +292,10 @@ def test_evaluate_runs_keeps_trial_count_constant(synthetic_bundle):
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
     track = TrackSequence(1, [0, 1, 2], [box] * 3)
     z = box.as_vector()
-    full = run_filter(track, [z, z, z], synthetic_bundle, "kf2d")
-    partial = run_filter(track, [z, z, None], synthetic_bundle, "kf2d")
-    partial.frames = partial.frames[:2]
-    partial.native = partial.native[:2]
-    partial.boxes = partial.boxes[:2]
-    out = evaluate_runs(track, [full, partial], synthetic_bundle, 1.65)
+    run = run_filter(track, [[z, z, z]] * 2, synthetic_bundle, "kf2d")
+    # Trial 1 stopped after frame 1.
+    run.ends[1] = 2
+    out = evaluate_runs(track, run, synthetic_bundle, 1.65)
     rmse_series, _ = out["bb"]
     assert rmse_series.frames == (0, 1)
     assert rmse_series.n_skipped == 1
@@ -303,16 +342,15 @@ def test_estimates_csv_round_trips_exactly(
     cfg = SimConfig(3, 5, synthetic_bundle.model2d.R, None)
     result = run_track(track, synthetic_bundle, ("ukf3d",), 1.65, cfg)
     write_track_outputs(tmp_path, "SYN-01", result)
-    runs = result.runs["ukf3d"]
-    space, trials = _read_estimates_csv(
+    run = result.runs["ukf3d"]
+    space, stack = _read_estimates_csv(
         tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv"
     )
     assert space == "3d"
-    assert len(trials) == len(runs)
-    for (frames, means, covs), run in zip(trials, runs):
-        assert frames == run.frames
-        assert np.array_equal(means, [est.mean for est in run.native])
-        assert np.array_equal(covs, [est.cov for est in run.native])
+    assert stack.frames == run.frames
+    assert np.array_equal(stack.ends, run.ends)
+    assert np.array_equal(stack.means, run.native.means)
+    assert np.array_equal(stack.covs, run.native.covs)
 
 
 def test_estimates_csv_round_trips_awkward_values(tmp_path):
@@ -335,27 +373,33 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
             ]
         ),
     ]
-    runs = [
-        FilterRun("kf2d", frames=[0, 3], boxes=[
-            GaussianEstimate(m, c) for m, c in zip(means, covs)
-        ]),
-        FilterRun("kf2d", failure="stopped"),
-        FilterRun("kf2d", frames=[3], boxes=[GaussianEstimate(means[1], covs[1])]),
-    ]
+    # Trial 0 holds both rows, trial 1 stopped before writing any and
+    # trial 2 after its first row (which holds the second row's values).
+    stack = TrialStack(
+        [0, 3],
+        np.stack([means, means, means[::-1]]),
+        np.stack([covs, covs, covs[::-1]]),
+        np.array([2, 0, 1]),
+    )
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
     track = TrackSequence(1, [0, 3], [box] * 2, first_frame=7)
     path = tmp_path / "estimates.csv"
-    write_estimates_csv(path, track, runs, "bb")
+    write_estimates_csv(path, track, stack, "bb")
     lines = path.read_text().splitlines()
     assert lines[1].startswith("0,0,7,bb,-0,10000000000000000,0.0000")
-    space, trials = _read_estimates_csv(path)
+    assert len(lines) == 1 + 3 and lines[3].startswith("2,0,7,bb,")
+    space, read = _read_estimates_csv(path)
     assert space == "bb"
-    # Trials 0 and 2 have rows; trial 1 stopped before writing any.
-    expected = [([0, 3], [0, 1]), ([3], [1])]
-    assert [frames for frames, _, _ in trials] == [e[0] for e in expected]
-    for (_, read_means, read_covs), (_, indices) in zip(trials, expected):
-        assert read_means.tobytes() == np.stack([means[i] for i in indices]).tobytes()
-        assert read_covs.tobytes() == np.stack([covs[i] for i in indices]).tobytes()
+    assert read.frames == [0, 3] and read.ends.tolist() == [2, 1]
+    expected = [[0, 1], [1]]
+    for trial, indices in enumerate(expected):
+        rows = len(indices)
+        assert read.means[trial, :rows].tobytes() == np.stack(
+            [means[i] for i in indices]
+        ).tobytes()
+        assert read.covs[trial, :rows].tobytes() == np.stack(
+            [covs[i] for i in indices]
+        ).tobytes()
 
 
 def test_outputs_are_deterministic(tmp_path, synthetic_sequence, synthetic_bundle):
