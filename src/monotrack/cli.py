@@ -20,7 +20,7 @@ import sys
 from array import array
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -46,10 +46,12 @@ from .metrics import EvalSeries, TrialStack
 from .pipeline import (
     SPACES,
     ModelBundle,
+    TrackResult,
     real_dropout_mask,
     run_track,
     score_trials,
     write_metrics_csv,
+    write_run_estimates,
     write_track_outputs,
 )
 from .sim import SimConfig, simulate_detections
@@ -196,6 +198,21 @@ def _summary_line(
     )
 
 
+def _run_real_filter(
+    cfg: RunConfig, bundle: ModelBundle, name: str, results: list[TrackResult]
+) -> None:
+    """One pass of filter ``name`` over every track's real detections:
+    write its estimates files and fold its metrics into ``results``, one
+    per track.  Its runs are dropped on return, so a run holds one
+    filter's runs at a time."""
+    tracks = [result.track for result in results]
+    passed = run_track(tracks, bundle, (name,), cfg.guessed_height_m)
+    for result, one in zip(results, passed):
+        write_run_estimates(cfg.output_dir, cfg.seq_name, one.track, one.runs[name])
+        result.metrics.update(one.metrics)
+        result.n_failures += one.n_failures
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.trials < 0:
@@ -205,18 +222,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             "a real-detection run needs a detection file; "
             "pass --det or simulate with --trials"
         )
-    tracks = _load_tracks(cfg)
+    tracks = [track for _, track in sorted(_load_tracks(cfg).items())]
     bundle = cfg.bundle()
+    results: Iterable[TrackResult]
+    if cfg.trials > 0:
+        # One pass per track and filter, of the track's M trials; each
+        # track's files are written before the next track runs.
+        results = (
+            run_track(
+                track, bundle, cfg.filters, cfg.guessed_height_m,
+                _sim_config(cfg, track, bundle),
+            )
+            for track in tracks
+        )
+    else:
+        # Every track in one pass per filter; the estimates files are
+        # written as each pass ends, the rest once every pass has run.
+        results = [TrackResult(track, {}, {}, 0) for track in tracks]
+        for name in cfg.filters:
+            _run_real_filter(cfg, bundle, name, results)
     n_failures = 0
-    for object_id in sorted(tracks):
-        track = tracks[object_id]
-        sim_cfg = _sim_config(cfg, track, bundle) if cfg.trials > 0 else None
-        result = run_track(track, bundle, cfg.filters, cfg.guessed_height_m, sim_cfg)
+    for result in results:
         write_track_outputs(cfg.output_dir, cfg.seq_name, result)
         n_failures += result.n_failures
         for (name, space), series in sorted(result.metrics.items()):
-            label = f"{cfg.seq_name} id{track.object_id} {name} {space}"
-            print(_summary_line(label, series, track))
+            label = f"{cfg.seq_name} id{result.track.object_id} {name} {space}"
+            print(_summary_line(label, series, result.track))
     print(f"wrote outputs for {len(tracks)} track(s) to {cfg.output_dir}")
     if n_failures:
         print(f"{n_failures} filter run(s) stopped early", file=sys.stderr)
@@ -342,11 +373,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         gaps = sum(b - a - 1 for a, b in zip(track.frames, track.frames[1:]))
         n_det = sum(1 for b in track.detections if b is not None)
         heights = sorted(box.h for box in track.annotations)
+        median = (heights[(n - 1) // 2] + heights[n // 2]) / 2
         print(
             f"  id {object_id}: {n} frames "
             f"[{track.first_frame}..{track.first_frame + track.frames[-1]}], "
             f"{gaps} gap frame(s), {n_det} detection(s), "
-            f"median height {heights[n // 2]:.6g} px"
+            f"median height {median:.6g} px"
         )
     return 0
 

@@ -1,19 +1,29 @@
 """Orchestration: run filters over tracks, score them, write CSV files.
 
-A run pairs one track with one detection source (the real detection file
-or simulated trials), pushes every selected filter along it, and scores
+A run pairs tracks with a detection source (the real detection file or
+simulated trials), pushes every selected filter along them, and scores
 the results against the annotations in bounding-box space and, for the
 3D filter, against semi-annotations in camera space.
 
-Estimates begin at the first frame with a detection; frames with no
-detection advance by prediction only.  The M trials of a filter step
-together: each frame is one call of each filter step on the (M, n)
-stack of the trials' estimates, and real detections are the M = 1 case
-of the same loop.  A filter that leaves its domain (for example, a
-sigma point falling behind the camera) stops only the trial it belongs
-to, which keeps its estimates up to the frame before; the other trials
-go on.  Frames that some trial did not reach are excluded from the
-metrics and counted as skipped.
+A lane is one (track, trial) detection series.  Each filter makes one
+pass over a set of lanes: every track of a real-detection run, or the
+M Monte Carlo trials of one track.  The lanes of a pass step together
+on the absolute frame number: each frame is one call of each filter
+step on the stack of the lanes that take it, and a pass of one lane is
+the same loop without the stack axis.  Tracks may start, end and miss
+detections at different frames.  A lane's estimates begin at its
+track's first detection; frames with no detection advance by
+prediction only.  A filter that leaves its domain (for example, a sigma
+point falling behind the camera) stops only the lane it belongs to,
+which keeps its estimates up to the frame before; the other lanes go
+on.  Frames that some trial of a track did not reach are excluded from
+that track's metrics and counted as skipped.
+
+Any other error escapes the pass and ends the run; the files written
+before it stay.  A Monte Carlo run writes each track's files before the
+next track runs.  A real-detection run writes the estimates files of
+each filter's pass, for every track, as the pass ends, and the metrics
+and summary files once every pass has run.
 """
 
 from __future__ import annotations
@@ -171,7 +181,7 @@ FILTER_NAMES = tuple(FILTERS)
 
 @dataclass
 class FilterRun:
-    """One filter's pass over one track with M trials' detections.
+    """One filter's run over one track's M trials' detections.
 
     ``native`` and ``boxes`` hold the estimates in the filter's own space
     and in box space; they share their frames and per-trial ends.
@@ -206,145 +216,291 @@ class FilterRun:
         self.ends[trial] = row
 
 
-def _empty_run(filter_name: str, frames: list[int], trials: int) -> FilterRun:
-    """A run of zeroed stacks in which every trial reaches the last frame."""
-    n = len(SPACES[FILTERS[filter_name].space].names)
-    k = len(frames)
-    ends = np.full(trials, k)
-    return FilterRun(
-        filter_name,
-        TrialStack(frames, np.zeros((trials, k, n)), np.zeros((trials, k, n, n)), ends),
-        TrialStack(frames, np.zeros((trials, k, 4)), np.zeros((trials, k, 4, 4)), ends),
-        [None] * trials,
-    )
+@dataclass
+class FilterPass:
+    """One filter's pass over several tracks: one ``FilterRun`` per track,
+    in the order the tracks were given."""
+
+    runs: list[FilterRun]
+
+    @property
+    def failure(self) -> str | None:
+        """The first stopped lane's failure, or None if none stopped."""
+        return next((run.failure for run in self.runs if run.failure is not None), None)
 
 
+# One track's M detection series, each aligned with its frames.
+Trials = Sequence[Sequence[np.ndarray | None]]
 _Step = Callable[[GaussianEstimate | None, np.ndarray | None], GaussianEstimate]
+_Stop = Callable[[int, Exception], None]
 
 
 def _advance(
     step: _Step,
     est: GaussianEstimate | None,
     z: np.ndarray | None,
-    active: np.ndarray,
-    run: FilterRun,
-    row: int,
+    lanes: np.ndarray,
+    stop: _Stop,
 ) -> tuple[GaussianEstimate | None, np.ndarray]:
-    """One step of every active trial at once: the stacked result and the
-    trials still active after it.
+    """One step of some lanes at once: the stacked result and the lanes
+    still live after it.
 
-    ``est`` stacks the active trials and ``z`` holds every trial's
-    detection.  If the stacked step stops, each active trial takes the
-    step alone: one that stops ends before ``row`` with its failure, and
-    the rest go on with the rows they got alone, which equal their rows
-    of a stacked step.  A lone trial has no stack axis and is already
-    alone.
+    ``est`` stacks the lanes' estimates and ``z`` their detections.  If
+    the stacked step stops, each lane takes the step alone: one that
+    stops goes to ``stop`` with its error, and the rest go on with the
+    rows they got alone, which equal their rows of a stacked step.  The
+    lane of a one-lane pass has no stack axis and is already alone.
     """
-    alone = len(run.failures) == 1
-    z_active = z if z is None or alone or len(z) == active.size else z[active]
     try:
-        return step(est, z_active), active
+        return step(est, z), lanes
     except _TRACK_STOPPERS as exc:
-        if alone:
-            run.stop(0, row, exc)
-            return None, active[:0]
+        if (z if est is None else est.mean).ndim == 1:
+            stop(int(lanes[0]), exc)
+            return None, lanes[:0]
     kept: list[int] = []
     results: list[GaussianEstimate] = []
-    for i, trial in enumerate(active.tolist()):
+    for i, lane in enumerate(lanes.tolist()):
         one = None if est is None else GaussianEstimate(est.mean[i], est.cov[i])
         try:
-            results.append(step(one, None if z_active is None else z_active[i]))
+            results.append(step(one, None if z is None else z[i]))
         except _TRACK_STOPPERS as exc:
-            run.stop(trial, row, exc)
+            stop(lane, exc)
         else:
             kept.append(i)
     if not results:
-        return None, active[:0]
+        return None, lanes[:0]
     stacked = GaussianEstimate(
         np.stack([r.mean for r in results]), np.stack([r.cov for r in results])
     )
-    return stacked, active[kept]
+    return stacked, lanes[kept]
 
 
-def _stack_detections(
-    trials: Sequence[Sequence[np.ndarray | None]],
-) -> list[np.ndarray | None]:
-    """Per-frame (M, 4) stacks of M trials' detections, None where the
-    trials have none; they must miss the same frames.  A lone trial keeps
-    its 4-vectors, so it takes each step exactly as a trial re-run alone
-    does."""
-    if len(trials) == 1:
-        return [None if z is None else np.asarray(z, dtype=float) for z in trials[0]]
-    stacks: list[np.ndarray | None] = []
-    for frame in zip(*trials):
-        missing = [z is None for z in frame]
-        if not any(missing):
-            stacks.append(np.array(frame, dtype=float))
-        elif all(missing):
-            stacks.append(None)
-        else:
-            raise DimensionMismatch("trials must miss the same frames")
-    return stacks
+def _keep(
+    mean: np.ndarray, cov: np.ndarray, lanes: np.ndarray, keep: np.ndarray
+) -> tuple[GaussianEstimate | None, np.ndarray]:
+    """The lanes where ``keep`` holds and their stacked estimates, or
+    None if there are none."""
+    if not keep.any():
+        return None, lanes[:0]
+    return GaussianEstimate(mean[keep], cov[keep]), lanes[keep]
 
 
-def run_filter(
-    track: TrackSequence,
-    trials: Sequence[Sequence[np.ndarray | None]],
+def _advance_where(
+    step: _Step,
+    est: GaussianEstimate,
+    z: np.ndarray,
+    lanes: np.ndarray,
+    mask: np.ndarray,
+    stop: _Stop,
+) -> tuple[GaussianEstimate | None, np.ndarray]:
+    """``_advance`` on the lanes where ``mask`` holds, gathered into one
+    sub-stack; the other lanes keep their estimates."""
+    stepped, kept = _advance(
+        step, GaussianEstimate(est.mean[mask], est.cov[mask]), z, lanes[mask], stop
+    )
+    done = mask.copy()
+    done[mask] = np.isin(lanes[mask], kept)
+    mean, cov = est.mean.copy(), est.cov.copy()
+    if kept.size:
+        mean[done], cov[done] = stepped.mean, stepped.cov
+    return _keep(mean, cov, lanes, ~mask | done)
+
+
+def _stack_detections(trials: Trials) -> tuple[list[int], np.ndarray]:
+    """The indices of the frames with detections and the (D, M, 4) stack
+    of the M trials' detections there; the trials must miss the same
+    frames."""
+    frames = list(zip(*trials))
+    detected = [i for i, frame in enumerate(frames) if frame[0] is not None]
+    if any((z is None) != (frame[0] is None) for frame in frames for z in frame):
+        raise DimensionMismatch("trials must miss the same frames")
+    return detected, np.array([frames[i] for i in detected], dtype=float)
+
+
+def _run_pass(
+    tracks: Sequence[TrackSequence],
+    trials: Sequence[Trials],
     bundle: ModelBundle,
     filter_name: str,
-) -> FilterRun:
-    """Push one filter along a track, every trial in the same steps.
-
-    ``trials`` holds M detection series, each aligned with
-    ``track.frames`` with None where the detector missed; the trials
-    miss the same frames.  The filter initializes at the first
-    detection, predicts across every frame step (including annotation
-    gaps, which may span several sampling periods), and updates where a
-    detection exists.  A trial that leaves the filter's domain stops at
-    that frame, alone; its rows up to the frame before stay.
-    """
+) -> FilterPass:
+    """Push one filter along every lane of several tracks; see
+    ``run_filter``."""
     spec = FILTERS.get(filter_name)
     if spec is None:
         raise ConfigError(f"unknown filter {filter_name!r}")
-    m = len(trials)
-    stacks = _stack_detections(trials)
-    start = next((i for i, z in enumerate(stacks) if z is not None), None)
-    if start is None:
-        run = _empty_run(filter_name, [], m)
-        run.failures[:] = ["no detections to initialize from"] * m
-        return run
-    frames = list(track.frames)
-    run = _empty_run(filter_name, frames[start:], m)
+    n = len(SPACES[spec.space].names)
+    detections = [_stack_detections(series) for series in trials]
+    starts = [detected[0] if detected else None for detected, _ in detections]
+    sizes = [len(series) for series in trials]
+    counts = [0 if s is None else len(t.frames) - s for t, s in zip(tracks, starts)]
+    # Lanes join in the order of their track's first detection.
+    joined = sorted(
+        (g for g, start in enumerate(starts) if start is not None),
+        key=lambda g: tracks[g].first_frame + tracks[g].frames[starts[g]],
+    )
+    # Every lane's rows, one block of M lanes per track, in lane order;
+    # each run's stacks are views of its block.
+    blocks = [sizes[g] * counts[g] for g in joined]
+    offsets = dict(zip(joined, np.cumsum([0] + blocks).tolist()))
+    store = [np.zeros((sum(blocks),) + shape) for shape in ((n,), (n, n), (4,), (4, 4))]
+    runs: list[FilterRun] = []
+    for g, (track, m, k) in enumerate(zip(tracks, sizes, counts)):
+        start = offsets.get(g, 0)
+        mean, cov, box_mean, box_cov = (
+            a[start : start + m * k].reshape((m, k) + a.shape[1:]) for a in store
+        )
+        frames = list(track.frames[starts[g] :]) if k else []
+        ends = np.full(m, k)
+        runs.append(
+            FilterRun(
+                filter_name,
+                TrialStack(frames, mean, cov, ends),
+                TrialStack(frames, box_mean, box_cov, ends),
+                [None if k else "no detections to initialize from"] * m,
+            )
+        )
+    if not joined:
+        return FilterPass(runs)
+
+    # Per lane: its run and trial, its first row's position in the store,
+    # and the pass frames of its first and last rows.  Per pass frame and
+    # lane: the detection, whether there is one, and whether the lane's
+    # track has a row (an annotation) there.
+    f0 = min(tracks[g].first_frame + tracks[g].frames[starts[g]] for g in joined)
+    span = max(tracks[g].first_frame + tracks[g].frames[-1] for g in joined) - f0 + 1
+    lanes_total = sum(sizes[g] for g in joined)
+    z_all = np.zeros((span, lanes_total, 4))
+    has_z = np.zeros((span, lanes_total), dtype=bool)
+    has_row = np.zeros((span, lanes_total), dtype=bool)
+    owner: list[tuple[FilterRun, int]] = []
+    base: list[int] = []
+    first: list[int] = []
+    last: list[int] = []
+    for g in joined:
+        m, k = sizes[g], counts[g]
+        at = np.asarray(tracks[g].frames[starts[g] :]) + (tracks[g].first_frame - f0)
+        detected, stacked = detections[g]
+        block = slice(len(owner), len(owner) + m)
+        has_row[at, block] = True
+        rows = [i - starts[g] for i in detected]
+        has_z[at[rows], block] = True
+        z_all[at[rows], block] = stacked
+        for trial in range(m):
+            owner.append((runs[g], trial))
+            base.append(offsets[g] + trial * k)
+            first.append(int(at[0]))
+            last.append(int(at[-1]))
+    frame = np.arange(span)[:, None]
+    within = (np.asarray(first) <= frame) & (frame <= np.asarray(last))
+    # Frames where every lane that steps there has a detection (a row):
+    # the step takes the whole stack, with no gathering.
+    update_all = (has_z | ~(within & (np.asarray(first) < frame))).all(axis=1).tolist()
+    box_all = (has_row | ~within).all(axis=1).tolist()
+    joins: dict[int, list[int]] = {}
+    leaves: dict[int, list[int]] = {}
+    for lane, (a, b) in enumerate(zip(first, last)):
+        joins.setdefault(a, []).append(lane)
+        leaves.setdefault(b, []).append(lane)
+
+    lone = lanes_total == 1
+    cursor = np.asarray(base)
+
+    def detections_at(t: int, lanes: np.ndarray) -> np.ndarray:
+        if lone:
+            return z_all[t, 0]
+        return z_all[t] if lanes.size == lanes_total else z_all[t, lanes]
+
+    def stop(lane: int, exc: Exception) -> None:
+        run, trial = owner[lane]
+        run.stop(trial, int(cursor[lane]) - base[lane], exc)
+
     init: _Step = lambda _, z: spec.init(z, bundle)  # noqa: E731
     predict: _Step = lambda est, _: spec.predict(est, bundle)  # noqa: E731
     update: _Step = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
     box_of: _Step = lambda est, _: spec.box(est, bundle)  # noqa: E731
-    active = np.arange(m)
+    # The live lanes in lane order, and their stacked estimates.
+    live = np.arange(0)
     est: GaussianEstimate | None = None
-    for row, i in enumerate(range(start, len(frames))):
-        if row == 0:
-            steps = [(init, stacks[i])]
-        else:
-            steps = [(predict, None)] * (frames[i] - frames[i - 1])
-            if stacks[i] is not None:
-                steps.append((update, stacks[i]))
-        for step, z in steps:
-            est, active = _advance(step, est, z, active, run, row)
-            if not active.size:
-                return run
-        # Box before storing, so a trial that stops here stores neither.
-        box, boxed = _advance(box_of, est, None, active, run, row)
-        if not boxed.size:
-            return run
-        if boxed.size < active.size:
-            keep = np.isin(active, boxed)
-            est, active = GaussianEstimate(est.mean[keep], est.cov[keep]), boxed
-        stored = slice(None) if active.size == m else active
-        run.native.means[stored, row] = est.mean
-        run.native.covs[stored, row] = est.cov
-        run.boxes.means[stored, row] = box.mean
-        run.boxes.covs[stored, row] = box.cov
-    return run
+    for t in range(span):
+        if live.size:
+            est, live = _advance(predict, est, None, live, stop)
+        if live.size:
+            if update_all[t]:
+                est, live = _advance(update, est, detections_at(t, live), live, stop)
+            else:
+                mask = has_z[t, live]
+                if mask.any():
+                    z = detections_at(t, live[mask])
+                    est, live = _advance_where(update, est, z, live, mask, stop)
+        if t in joins:
+            lanes = np.asarray(joins[t])
+            new, lanes = _advance(init, None, detections_at(t, lanes), lanes, stop)
+            if est is None:
+                est, live = new, lanes
+            elif new is not None:
+                est = GaussianEstimate(
+                    np.concatenate([est.mean, new.mean]),
+                    np.concatenate([est.cov, new.cov]),
+                )
+                live = np.concatenate([live, lanes])
+        if live.size:
+            if box_all[t]:
+                boxed, stored = est, live
+            else:
+                boxed, stored = _keep(est.mean, est.cov, live, has_row[t, live])
+            if boxed is not None:
+                box, kept = _advance(box_of, boxed, None, stored, stop)
+                if kept.size < stored.size:
+                    # A lane that stops at its box stores neither estimate.
+                    stopped = np.setdiff1d(stored, kept)
+                    est, live = _keep(est.mean, est.cov, live, ~np.isin(live, stopped))
+                    boxed, _ = _keep(boxed.mean, boxed.cov, stored, np.isin(stored, kept))
+                if kept.size:
+                    slots = cursor[kept]
+                    for a, value in zip(store, (boxed.mean, boxed.cov, box.mean, box.cov)):
+                        a[slots] = value
+                    cursor[kept] += 1
+        if t in leaves and live.size:
+            gone = np.isin(live, leaves[t])
+            if gone.any():
+                est, live = _keep(est.mean, est.cov, live, ~gone)
+    return FilterPass(runs)
+
+
+def run_filter(
+    track: TrackSequence | Sequence[TrackSequence],
+    trials: Trials | Sequence[Trials],
+    bundle: ModelBundle,
+    filter_name: str,
+) -> FilterRun | FilterPass:
+    """Push one filter along a track's trials, or along several tracks'
+    trials in one pass.
+
+    Given one track, ``trials`` holds its M detection series, each
+    aligned with ``track.frames`` with None where the detector missed;
+    the trials miss the same frames.  The result is that track's run.
+    Given a sequence of tracks, ``trials`` holds each track's series and
+    the result is a ``FilterPass`` with one run per track.
+
+    Each (track, trial) series is a lane, and all lanes step together on
+    the absolute frame number ``first_frame + k``: at each frame, one
+    call of each filter step covers the lanes that take it.  A lane
+    initializes at its track's first detection, predicts across every
+    frame step (including annotation gaps, which may span several
+    sampling periods), updates where its track has a detection, and
+    stores a row at each of its track's frames.  It leaves after its
+    track's last frame.  So tracks may start, end and miss detections at
+    different frames.  A lane that leaves the filter's domain stops at
+    that frame, alone; its rows up to the frame before stay.  Each lane's
+    rows are bit for bit those of a run of that lane alone.  Any other
+    error escapes the pass with no run returned.
+
+    ``run_track`` passes every track of a real-detection run together,
+    and the M trials of one track in a Monte Carlo run.
+    """
+    if isinstance(track, TrackSequence):
+        return _run_pass([track], [trials], bundle, filter_name).runs[0]
+    return _run_pass(track, trials, bundle, filter_name)
 
 
 def real_detection_vectors(track: TrackSequence) -> list[np.ndarray | None]:
@@ -413,34 +569,37 @@ def evaluate_runs(
 
 
 def run_track(
-    track: TrackSequence,
+    track: TrackSequence | Sequence[TrackSequence],
     bundle: ModelBundle,
     filter_names: tuple[str, ...],
     guessed_height_m: float,
     sim_cfg: SimConfig | None = None,
-) -> TrackResult:
-    """Run the selected filters over one track, real or simulated.
+) -> TrackResult | list[TrackResult]:
+    """Run the selected filters over one track, real or simulated, or over
+    the real detections of several tracks.
 
     With ``sim_cfg`` the detections are Monte Carlo trials around the
-    annotations; otherwise the single trial is the track's associated
-    real detections.
+    one track's annotations; otherwise each track's single trial is its
+    associated real detections.  Each filter makes one pass over every
+    lane.  Several tracks give one result per track, in their order.
     """
-    if sim_cfg is not None:
-        trials = simulate_detections(track, sim_cfg)
+    tracks = [track] if isinstance(track, TrackSequence) else list(track)
+    if sim_cfg is None:
+        trials = [[real_detection_vectors(one)] for one in tracks]
+    elif len(tracks) == 1:
+        trials = [simulate_detections(tracks[0], sim_cfg)]
     else:
-        trials = [real_detection_vectors(track)]
-    runs: dict[str, FilterRun] = {}
-    metrics: dict[tuple[str, str], tuple[EvalSeries, EvalSeries]] = {}
-    n_failures = 0
+        raise ConfigError("simulated trials run one track at a time")
+    results = [TrackResult(one, {}, {}, 0) for one in tracks]
     for name in filter_names:
-        run = run_filter(track, trials, bundle, name)
-        n_failures += sum(f is not None for f in run.failures)
-        runs[name] = run
-        for space, series_pair in evaluate_runs(
-            track, run, bundle, guessed_height_m
-        ).items():
-            metrics[(name, space)] = series_pair
-    return TrackResult(track, runs, metrics, n_failures)
+        for result, run in zip(results, run_filter(tracks, trials, bundle, name).runs):
+            result.runs[name] = run
+            result.n_failures += sum(f is not None for f in run.failures)
+            for space, series_pair in evaluate_runs(
+                result.track, run, bundle, guessed_height_m
+            ).items():
+                result.metrics[(name, space)] = series_pair
+    return results[0] if isinstance(track, TrackSequence) else results
 
 
 def write_estimates_csv(
@@ -505,21 +664,36 @@ def write_summary_csv(path: Path, result: TrackResult) -> None:
             )
 
 
+def write_run_estimates(
+    out_dir: Path, seq_name: str, track: TrackSequence, run: FilterRun
+) -> list[Path]:
+    """Write one filter run's estimates files, in its native space and in
+    box space; returns their paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for space in (FILTERS[run.filter_name].space, "bb"):
+        path = (
+            out_dir
+            / f"{seq_name}_id{track.object_id}_{run.filter_name}_estimates_{space}.csv"
+        )
+        write_estimates_csv(path, track, run.estimates(space), space)
+        written.append(path)
+    return written
+
+
 def write_track_outputs(
     out_dir: Path, seq_name: str, result: TrackResult
 ) -> list[Path]:
     """Write every CSV of one track's result; returns the created paths.
 
-    Estimate files hold every trial; metric files aggregate them.
+    Estimate files hold every trial of each run the result holds; metric
+    files aggregate them.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{seq_name}_id{result.track.object_id}"
     written: list[Path] = []
-    for name, run in result.runs.items():
-        for space in (FILTERS[name].space, "bb"):
-            path = out_dir / f"{stem}_{name}_estimates_{space}.csv"
-            write_estimates_csv(path, result.track, run.estimates(space), space)
-            written.append(path)
+    for run in result.runs.values():
+        written += write_run_estimates(out_dir, seq_name, result.track, run)
     for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
         path = out_dir / f"{stem}_{name}_metrics_{space}.csv"
         write_metrics_csv(path, rmse_series, anees_series)

@@ -1,9 +1,10 @@
-"""The trial-batched filter core against the per-trial reference.
+"""The batched filter core against the per-trial reference.
 
 Every filter step takes one estimate or a stack of M trials' estimates.
 A stacked step must give each trial bit for bit what that trial gets
-alone, and ``run_filter`` over M trials must store exactly the rows of M
-single-trial runs, including a trial that stops while the others go on.
+alone, and ``run_filter`` over M trials, or over several tracks, must
+store exactly the rows of single-trial runs, including a trial that
+stops while the others go on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotrack.dataio import BoundingBox, TrackSequence
-from monotrack.exceptions import DimensionMismatch
+from monotrack.exceptions import ConfigError, DimensionMismatch
 from monotrack.filters import GaussianEstimate
 from monotrack.models import (
     MEASURED_ROWS,
@@ -26,8 +27,10 @@ from monotrack.pipeline import (
     FILTER_NAMES,
     FILTERS,
     build_bundle,
+    real_detection_vectors,
     real_dropout_mask,
     run_filter,
+    run_track,
 )
 from monotrack.sim import SimConfig, simulate_detections
 
@@ -198,3 +201,76 @@ def test_trials_must_miss_the_same_frames():
     assert run.failure is None and run.ends.tolist() == [2, 2]
     with pytest.raises(DimensionMismatch):
         run_filter(track, [[z, None], [z, z]], BUNDLE, "kf2d")
+
+
+def hand_tracks() -> list[TrackSequence]:
+    """Tracks that start, end and miss detections at different frames.
+
+    Track 1 drops frames 3-4; track 2 has annotation gaps and no
+    detection on its first two frames; track 3's first box is too small
+    for ukf3d to initialize; track 4's second box is twenty times too
+    tall, which puts a ukf3d sigma point behind the camera.
+    """
+    def walk(n: int, x0: float) -> list[BoundingBox]:
+        return [BoundingBox(x0 + 3.0 * k, 600.0 + k, 80.0, 160.0 + k) for k in range(n)]
+
+    def detect(boxes: list[BoundingBox], dropped: set[int]) -> list[BoundingBox | None]:
+        return [
+            None if k in dropped else BoundingBox(b.x + 1.5, b.y - 0.5, b.w + 1.0, b.h - 2.0)
+            for k, b in enumerate(boxes)
+        ]
+
+    boxes = walk(8, 700.0)
+    one = TrackSequence(1, list(range(8)), boxes, detect(boxes, {3, 4}), first_frame=5)
+    boxes = walk(7, 1100.0)
+    two = TrackSequence(2, [0, 1, 2, 5, 6, 9, 10], boxes, detect(boxes, {0, 1, 4}), first_frame=3)
+    tiny = [BoundingBox(900.0, 600.0, 6.0, 12.0)] * 6
+    three = TrackSequence(3, list(range(6)), tiny, list(tiny), first_frame=8)
+    boxes = walk(7, 900.0)
+    tall = detect(boxes, {4})
+    tall[1] = BoundingBox(900.0, 600.0, 80.0, 3200.0)
+    four = TrackSequence(4, list(range(7)), boxes, tall, first_frame=4)
+    return [one, two, three, four]
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_multi_track_pass_matches_lone_passes(name):
+    tracks = hand_tracks()
+    trials = [[real_detection_vectors(track)] for track in tracks]
+    # Track 1 carries a second trial, so a track's lanes form a block.
+    trials[0].append([None if z is None else z + 0.25 for z in trials[0][0]])
+    passed = run_filter(tracks, trials, BUNDLE, name)
+    assert len(passed.runs) == len(tracks)
+    for track, series, run in zip(tracks, trials, passed.runs):
+        for trial, detections in enumerate(series):
+            alone = run_filter(track, [detections], BUNDLE, name)
+            assert run.frames == alone.frames
+            assert_rows_match(run, trial, alone)
+    failures = [run.failure for run in passed.runs]
+    if name == "ukf3d":
+        assert failures[0] is None and failures[1] is None
+        assert passed.runs[2].ends.tolist() == [0]
+        assert failures[3].startswith("DepthNonPositive: ")
+        assert passed.failure == failures[2]
+    else:
+        assert failures == [None] * 4 and passed.failure is None
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_multi_track_run_track_scores_each_track_alone(name):
+    tracks = hand_tracks()
+    results = run_track(tracks, BUNDLE, (name,), 1.65)
+    assert [result.track for result in results] == tracks
+    with pytest.raises(ConfigError):
+        run_track(tracks, BUNDLE, (name,), 1.65, SimConfig(2, 1, BUNDLE.model2d.R, None))
+    for track, result in zip(tracks, results):
+        lone = run_track(track, BUNDLE, (name,), 1.65)
+        assert result.n_failures == lone.n_failures
+        assert result.metrics.keys() == lone.metrics.keys()
+        for key, series_pair in lone.metrics.items():
+            for mine, ref in zip(result.metrics[key], series_pair):
+                assert mine.frames == ref.frames
+                assert same_bits(mine.values, ref.values)
+                assert (mine.space, mine.n_trials, mine.n_skipped) == (
+                    ref.space, ref.n_trials, ref.n_skipped
+                )

@@ -47,6 +47,18 @@ def test_inspect_reports_track(synthetic_sequence, tmp_path, capsys):
     assert "id 1: 90 frames [1..90], 0 gap frame(s), 79 detection(s)" in out
 
 
+def test_inspect_median_height_averages_the_middle_pair(tmp_path, capsys):
+    rows = [
+        MotRow(k + 1, 1, *to_top_left(BoundingBox(900.0, 600.0, 40.0, h)), 1.0, 1, 1.0)
+        for k, h in enumerate((100.0, 102.0))
+    ]
+    write_mot_file(tmp_path / "gt.txt", rows, "annotation")
+    assert main(["inspect", "--gt", str(tmp_path / "gt.txt"), "--name", "PAIR"]) == 0
+    assert "id 1: 2 frames [1..2], 0 gap frame(s), 0 detection(s), median height 101 px" in (
+        capsys.readouterr().out
+    )
+
+
 def test_inspect_missing_annotations_fails(tmp_path, capsys):
     assert main(["inspect", "--gt", str(tmp_path / "no.txt")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -105,6 +117,36 @@ def test_run_partial_failure_exits_two(tmp_path, capsys):
     assert main(args) == 2
     assert "stopped early" in capsys.readouterr().err
     assert (out / "TINY_id1_summary.csv").is_file()
+
+
+def test_run_tracks_together_writes_each_track_as_alone(tmp_path, capsys):
+    # Every track of a real-detection run shares one pass per filter;
+    # track 2 starts later with a detection gap, and track 3's boxes stop
+    # ukf3d at initialization.
+    gt_rows, det_rows = [], []
+    for object_id, first, h in ((1, 1, 160.0), (2, 4, 150.0), (3, 2, 12.0)):
+        for k in range(6):
+            box = BoundingBox(500.0 * object_id + 2.0 * k, 600.0, h / 2, h + k)
+            frame = first + k
+            gt_rows.append(MotRow(frame, object_id, *to_top_left(box), 1.0, 1, 1.0))
+            if not (object_id == 2 and k in (2, 3)):
+                det_rows.append(MotRow(frame, -1, *to_top_left(box), 1.0))
+    write_mot_file(tmp_path / "gt.txt", gt_rows, "annotation")
+    write_mot_file(tmp_path / "det.txt", det_rows, "detection")
+    base = ["run", "--gt", str(tmp_path / "gt.txt"), "--det", str(tmp_path / "det.txt")]
+    together = tmp_path / "together"
+    assert main(base + ["--out", str(together)]) == 2
+    assert "1 filter run(s) stopped early" in capsys.readouterr().err
+    alone = tmp_path / "alone"
+    for object_id in (1, 2, 3):
+        expected = 2 if object_id == 3 else 0
+        assert main(base + ["--out", str(alone), "--track-id", str(object_id)]) == expected
+    capsys.readouterr()
+    names = sorted(path.name for path in together.iterdir())
+    assert names == sorted(path.name for path in alone.iterdir())
+    assert len(names) == 3 * 11
+    for name in names:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 def test_run_invalid_estimate_exits_two(tmp_path, capsys):
