@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on usage, configuration or IO errors, 2 when
 some track or trial failed partway (partial results are still written).
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless it is already
+set, so the command runs numpy's BLAS on one thread.  It must be imported
+before numpy for that to take effect; ``import monotrack`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +25,13 @@ from array import array
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NoReturn
+
+# Every matrix a run multiplies or factorizes is at most 8 x 8 per trial,
+# too small for OpenBLAS to split across threads, yet the worker thread
+# of its default pool spins: on a 2-vCPU host, `import numpy` took about
+# 170 ms with the default pool against about 100 ms with one thread.  It
+# must be set before numpy loads; a value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -285,7 +296,8 @@ def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
     """Read back an estimates CSV: its space tag and its trials' stack.
 
     The trials with rows are stacked in trial order.  Each one's frames
-    must begin the frames of the longest, as a run writes them.
+    must begin the frames of the longest, as a run writes them.  Every
+    value must be finite, as a run writes it.
     """
     frames: list[int] = []
     by_trial: dict[int, list[int]] = {}
@@ -322,6 +334,11 @@ def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
             by_trial.setdefault(trial, []).append(len(frames))
             frames.append(k)
             tags.add(fields[space_col])
+    table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(int(row) + 2, f"not a finite number: {str(table[row, col])!r}")
     if len(tags) != 1:
         raise ParseError(1, f"expected rows of one space, got {sorted(tags)}")
     space = tags.pop()
@@ -331,7 +348,6 @@ def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
     longest = [frames[r] for r in max(trial_rows, key=len)]
     if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
         raise ParseError(None, "a trial's frames do not begin the longest trial's")
-    table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
     upper = np.triu_indices(n)
     means = np.zeros((len(trial_rows), len(longest), n))
     covs = np.zeros((len(trial_rows), len(longest), n, n))

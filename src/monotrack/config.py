@@ -234,8 +234,8 @@ def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, s
     size = None
     with _invalid(f"malformed {info}"):
         if "imwidth" in section and "imheight" in section:
-            size = (int(section["imwidth"]), int(section["imheight"]))
-        rate = float(section["framerate"]) if "framerate" in section else None
+            size = (_int(section["imwidth"]), _int(section["imheight"]))
+        rate = _float(section["framerate"]) if "framerate" in section else None
     return size, rate, name
 
 

@@ -16,6 +16,7 @@ re-serializes byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -147,8 +148,8 @@ def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:
 
     ``kind`` is "annotation" (class and visibility read when present) or
     "detection" (trailing placeholder fields ignored).  Blank lines are
-    skipped; any other malformed line raises ``ParseError`` with its line
-    number.
+    skipped; any other malformed line, a non-finite number included,
+    raises ``ParseError`` with its line number.
     """
     if kind not in ("annotation", "detection"):
         raise ValueError(f"unknown file kind {kind!r}")
@@ -164,16 +165,16 @@ def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:
             try:
                 frame = int(fields[0])
                 track_id = int(fields[1])
-                left, top, width, height, conf = (float(f) for f in fields[2:7])
-                cls = None
-                visibility = None
-                if kind == "annotation":
-                    if len(fields) >= 8:
-                        cls = int(float(fields[7]))
-                    if len(fields) >= 9:
-                        visibility = float(fields[8])
+                # Box and confidence; an annotation's class and visibility.
+                numbers = [float(f) for f in fields[2 : 9 if kind == "annotation" else 7]]
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
+            for raw, value in zip(fields[2:], numbers):
+                if not math.isfinite(value):
+                    raise ParseError(lineno, f"not a finite number: {raw!r}")
+            left, top, width, height, conf = numbers[:5]
+            cls = int(numbers[5]) if len(numbers) > 5 else None
+            visibility = numbers[6] if len(numbers) > 6 else None
             rows.append(
                 MotRow(frame, track_id, left, top, width, height, conf, cls, visibility)
             )

@@ -7,6 +7,8 @@ byte-level determinism of a repeated run.
 from __future__ import annotations
 
 import csv
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,7 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         ("trial,k,frame,space", []),
         ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,bb", "1,1,2,bb"]),
         ("trial,k,frame,space", ["0,500,501,bb"]),
+        ("trial,k,frame,space", ["0,0,1,bb", ("0,1,2,bb", _BB_VALUES.replace("900", "nan"))]),
     ],
     ids=[
         "no-space-column",
@@ -353,13 +356,17 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         "no-rows",
         "trial-starts-late",
         "frame-not-in-track",
+        "non-finite-value",
     ],
 )
 def test_evaluate_rejects_malformed_estimates(
     synthetic_sequence, tmp_path, capsys, prefix, rows
 ):
+    # A row is its leading fields, given values or else _BB_VALUES.
     path = tmp_path / "bad_estimates.csv"
-    lines = [f"{prefix},{_BB_COLUMNS}"] + [f"{row},{_BB_VALUES}" for row in rows]
+    lines = [f"{prefix},{_BB_COLUMNS}"] + [
+        ",".join((row, _BB_VALUES) if isinstance(row, str) else row) for row in rows
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     args = ["evaluate"] + seq_args(synthetic_sequence, tmp_path)
     assert main(args + ["--estimates", str(path)]) == 1
@@ -449,33 +456,57 @@ def test_output_env_var_and_flag_precedence(
     assert (flag_dir / "SYN-01_id1_summary.csv").is_file()
 
 
+def _set_field(line: int, field: int, value: str):
+    """An edit of a CSV text that sets one field of one line."""
+
+    def edit(text: str) -> str:
+        lines = text.splitlines(keepends=True)
+        fields = lines[line].split(",")
+        fields[field] = value
+        lines[line] = ",".join(fields)
+        return "".join(lines)
+
+    return edit
+
+
 @pytest.mark.parametrize(
-    "command,extra,ini,repeat_row",
+    "command,extra,ini,edit",
     [
-        ("run", ["--gamma", "-1"], None, False),
-        ("run", ["--image-size", "0x0"], None, False),
-        ("run", [], "[models]\ntau_h = 0\n", False),
-        ("run", [], "[models]\nq_x = -1\n", False),
-        ("run", [], "[models]\nzeta_r = 0\n", False),
-        ("run", [], "[filters]\nmean_height_m = -1\n", False),
-        ("inspect", [], None, True),
+        ("run", ["--gamma", "-1"], None, None),
+        ("run", ["--image-size", "0x0"], None, None),
+        ("run", [], "[models]\ntau_h = 0\n", None),
+        ("run", [], "[models]\nq_x = -1\n", None),
+        ("run", [], "[models]\nzeta_r = 0\n", None),
+        ("run", [], "[filters]\nmean_height_m = -1\n", None),
+        ("inspect", [], None, ("gt/gt.txt", lambda text: text + text.splitlines(True)[0])),
+        ("run", ["--trials", "2"], None, ("gt/gt.txt", _set_field(4, 4, "nan"))),
+        (
+            "inspect", [], None,
+            ("seqinfo.ini", lambda text: re.sub(r"frameRate=\S+", "frameRate=inf", text)),
+        ),
     ],
-    ids=["gamma", "image-size", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row"],
+    ids=[
+        "gamma", "image-size", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row",
+        "gt-nan-width", "seqinfo-frame-rate-inf",
+    ],
 )
 def test_out_of_range_values_exit_1(
-    synthetic_sequence, tmp_path, capsys, command, extra, ini, repeat_row
+    synthetic_sequence, tmp_path, capsys, command, extra, ini, edit
 ):
-    # Each value parses, but a record's check or the annotation file's
-    # rejects it; the command reports that as an error, not a traceback.
-    args = [command] + seq_args(synthetic_sequence, tmp_path) + extra
+    # Each value parses, but a record's check or an input file's rejects
+    # it; the command reports that as an error, not a traceback.  An edit
+    # rewrites one file of a copy of the sequence.
+    seq_dir = synthetic_sequence.seq_dir
+    if edit is not None:
+        seq_dir = tmp_path / "seq"
+        shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
+        name, change = edit
+        (seq_dir / name).write_text(change((seq_dir / name).read_text()))
+    args = [command, "--seq", str(seq_dir), "--out", str(tmp_path)] + extra
     if ini is not None:
         config = tmp_path / "run.ini"
         config.write_text(ini, encoding="utf-8")
         args += ["--config", str(config)]
-    if repeat_row:
-        gt_rows = parse_mot_file(synthetic_sequence.gt_path, "annotation")
-        write_mot_file(tmp_path / "gt.txt", gt_rows + gt_rows[:1], "annotation")
-        args += ["--gt", str(tmp_path / "gt.txt")]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

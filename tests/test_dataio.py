@@ -76,6 +76,19 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse_mot_file(path)
     assert info.value.line_number == 1
 
+    # Non-finite numbers parse as floats, so they are rejected by name.
+    for kind, row in [
+        ("annotation", "1,1,1,1,nan,1,1"),
+        ("annotation", "1,1,1,1,1,1,1,inf"),
+        ("annotation", "1,1,1,1,1,1,1,1,-inf"),
+        ("detection", "1,-1,1,1,1,inf,1"),
+        ("detection", "1,-1,1,1,1,1,nan"),
+    ]:
+        path.write_text(f"1,1,1,1,1,1,1\n{row}\n")
+        with pytest.raises(ParseError, match="not a finite number") as info:
+            parse_mot_file(path, kind)
+        assert info.value.line_number == 2
+
 
 def test_parse_rejects_unknown_kind(tmp_path):
     path = tmp_path / "x.txt"
