@@ -24,7 +24,7 @@ import sys
 from array import array
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import NoReturn
 
 # Every matrix a run multiplies or factorizes is at most 8 x 8 per trial,
 # too small for OpenBLAS to split across threads, yet the worker thread
@@ -56,9 +56,10 @@ from .exceptions import ConfigError, EstimationError, ParseError
 from .metrics import EvalSeries, TrialStack
 from .pipeline import (
     SPACES,
+    Detections,
     ModelBundle,
     TrackResult,
-    real_dropout_mask,
+    real_detections,
     run_track,
     score_trials,
     write_metrics_csv,
@@ -189,11 +190,19 @@ def _load_tracks(cfg: RunConfig) -> dict[int, TrackSequence]:
     return tracks
 
 
-def _sim_config(cfg: RunConfig, track: TrackSequence, bundle: ModelBundle) -> SimConfig:
-    mask = None
-    if cfg.dropout == "real" and any(b is not None for b in track.detections):
-        mask = real_dropout_mask(track)
-    return SimConfig(cfg.trials, cfg.seed, bundle.model2d.R, mask)
+def _detections(cfg: RunConfig, track: TrackSequence, bundle: ModelBundle) -> Detections:
+    """The track's real detections, or its ``cfg.trials`` simulated trials.
+
+    Simulated trials drop the frames the detector missed under
+    ``dropout = real``, unless it missed every frame.
+    """
+    if cfg.trials == 0:
+        return real_detections(track)
+    kept = [box is not None for box in track.detections]
+    if cfg.dropout != "real" or not any(kept):
+        kept = [True] * len(kept)
+    sim = SimConfig(cfg.trials, cfg.seed, bundle.model2d.R, tuple(kept))
+    return [i for i, keep in enumerate(kept) if keep], simulate_detections(track, sim)
 
 
 def _summary_line(
@@ -209,21 +218,6 @@ def _summary_line(
     )
 
 
-def _run_real_filter(
-    cfg: RunConfig, bundle: ModelBundle, name: str, results: list[TrackResult]
-) -> None:
-    """One pass of filter ``name`` over every track's real detections:
-    write its estimates files and fold its metrics into ``results``, one
-    per track.  Its runs are dropped on return, so a run holds one
-    filter's runs at a time."""
-    tracks = [result.track for result in results]
-    passed = run_track(tracks, bundle, (name,), cfg.guessed_height_m)
-    for result, one in zip(results, passed):
-        write_run_estimates(cfg.output_dir, cfg.seq_name, one.track, one.runs[name])
-        result.metrics.update(one.metrics)
-        result.n_failures += one.n_failures
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.trials < 0:
@@ -235,30 +229,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     tracks = [track for _, track in sorted(_load_tracks(cfg).items())]
     bundle = cfg.bundle()
-    results: Iterable[TrackResult]
-    if cfg.trials > 0:
-        # One pass per track and filter, of the track's M trials; each
-        # track's files are written before the next track runs.
-        results = (
-            run_track(
-                track, bundle, cfg.filters, cfg.guessed_height_m,
-                _sim_config(cfg, track, bundle),
-            )
-            for track in tracks
-        )
-    else:
-        # Every track in one pass per filter; the estimates files are
-        # written as each pass ends, the rest once every pass has run.
-        results = [TrackResult(track, {}, {}, 0) for track in tracks]
-        for name in cfg.filters:
-            _run_real_filter(cfg, bundle, name, results)
+    # A group shares one pass per filter: every track of a real-detection
+    # run, or one track with its simulated trials.
+    groups = [tracks] if cfg.trials == 0 else [[track] for track in tracks]
     n_failures = 0
-    for result in results:
-        write_track_outputs(cfg.output_dir, cfg.seq_name, result)
-        n_failures += result.n_failures
-        for (name, space), series in sorted(result.metrics.items()):
-            label = f"{cfg.seq_name} id{result.track.object_id} {name} {space}"
-            print(_summary_line(label, series, result.track))
+    for group in groups:
+        detections = [_detections(cfg, track, bundle) for track in group]
+        results = [TrackResult(track, {}, {}, 0) for track in group]
+        for name in cfg.filters:
+            passed = run_track(group, detections, bundle, (name,), cfg.guessed_height_m)
+            for result, one in zip(results, passed):
+                # Write the pass's estimates as it ends; popping its runs
+                # drops it before the next pass runs.
+                write_run_estimates(
+                    cfg.output_dir, cfg.seq_name, one.track, one.runs.pop(name)
+                )
+                result.metrics.update(one.metrics)
+                result.n_failures += one.n_failures
+        for result in results:
+            write_track_outputs(cfg.output_dir, cfg.seq_name, result)
+            n_failures += result.n_failures
+            for (name, space), series in sorted(result.metrics.items()):
+                label = f"{cfg.seq_name} id{result.track.object_id} {name} {space}"
+                print(_summary_line(label, series, result.track))
     print(f"wrote outputs for {len(tracks)} track(s) to {cfg.output_dir}")
     if n_failures:
         print(f"{n_failures} filter run(s) stopped early", file=sys.stderr)
@@ -276,13 +269,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_files = 0
     for object_id in sorted(tracks):
         track = tracks[object_id]
-        trials = simulate_detections(track, _sim_config(cfg, track, bundle))
-        for t, detections in enumerate(trials):
+        detected, trials = _detections(cfg, track, bundle)
+        for t, draws in enumerate(trials):
             rows = detection_rows(
                 [
-                    (track.first_frame + k, BoundingBox(*z))
-                    for k, z in zip(track.frames, detections)
-                    if z is not None
+                    (track.first_frame + track.frames[i], BoundingBox(*z))
+                    for i, z in zip(detected, draws)
                 ]
             )
             path = cfg.output_dir / f"{cfg.seq_name}_id{object_id}_trial{t:03d}.txt"
@@ -293,61 +285,63 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
-    """Read back an estimates CSV: its space tag and its trials' stack.
+    """Read back an estimates CSV: its space and its trials' stack.
 
-    The trials with rows are stacked in trial order.  Each one's frames
-    must begin the frames of the longest, as a run writes them.  Every
-    value must be finite, as a run writes it.
+    The space is the one whose state names the header's ``mean_``
+    columns give, and every row must be tagged with it.  The trials with
+    rows are stacked in trial order; a file with no rows gives a stack of
+    no trials.  Each trial's frames must begin the frames of the longest,
+    as a run writes them.  Every value must be finite, as a run writes it.
     """
     frames: list[int] = []
     by_trial: dict[int, list[int]] = {}
-    tags: set[str] = set()
     values = array("d")
     with open(path, "r", encoding="utf-8") as handle:
         lines = (text for text in map(str.strip, handle) if text)
         first = next(lines, None)
         if first is None:
-            raise ParseError(1, "empty estimates file")
+            raise ParseError(1, "empty estimates file", path)
         header = first.split(",")
         mean_cols = [i for i, name in enumerate(header) if name.startswith("mean_")]
         cov_cols = [i for i, name in enumerate(header) if name.startswith("cov_")]
         n = len(mean_cols)
-        if n == 0 or len(cov_cols) != n * (n + 1) // 2:
-            raise ParseError(1, f"unrecognized estimates header: {first}")
+        names = tuple(header[i][len("mean_") :] for i in mean_cols)
+        space = next((s for s, spec in SPACES.items() if spec.names == names), None)
+        if space is None or len(cov_cols) != n * (n + 1) // 2:
+            raise ParseError(1, f"unrecognized estimates header: {first}", path)
         missing = [name for name in ("trial", "k", "space") if name not in header]
         if missing:
-            raise ParseError(1, f"estimates header lacks the columns {missing}")
+            raise ParseError(1, f"estimates header lacks the columns {missing}", path)
         trial_col, k_col, space_col = map(header.index, ("trial", "k", "space"))
         pick_values = itemgetter(*mean_cols, *cov_cols)
         for lineno, line in enumerate(lines, start=2):
             fields = line.split(",")
             if len(fields) != len(header):
                 raise ParseError(
-                    lineno, f"expected {len(header)} fields, got {len(fields)}"
+                    lineno, f"expected {len(header)} fields, got {len(fields)}", path
                 )
+            if fields[space_col] != space:
+                tag = fields[space_col]
+                raise ParseError(lineno, f"space {tag!r} in a {space} file", path)
             try:
                 trial = int(fields[trial_col])
                 k = int(fields[k_col])
                 values.extend(map(float, pick_values(fields)))
             except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+                raise ParseError(lineno, str(exc), path) from exc
             by_trial.setdefault(trial, []).append(len(frames))
             frames.append(k)
-            tags.add(fields[space_col])
     table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
     finite = np.isfinite(table)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
-        raise ParseError(int(row) + 2, f"not a finite number: {str(table[row, col])!r}")
-    if len(tags) != 1:
-        raise ParseError(1, f"expected rows of one space, got {sorted(tags)}")
-    space = tags.pop()
-    if space not in SPACES or len(SPACES[space].names) != n:
-        raise ParseError(1, f"space {space!r} does not fit {n} mean columns")
+        raise ParseError(
+            int(row) + 2, f"not a finite number: {str(table[row, col])!r}", path
+        )
     trial_rows = [rows for _, rows in sorted(by_trial.items())]
-    longest = [frames[r] for r in max(trial_rows, key=len)]
+    longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
     if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
-        raise ParseError(None, "a trial's frames do not begin the longest trial's")
+        raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
     upper = np.triu_indices(n)
     means = np.zeros((len(trial_rows), len(longest), n))
     covs = np.zeros((len(trial_rows), len(longest), n, n))
@@ -356,7 +350,7 @@ def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
         block = covs[t, : len(rows)]
         block[:, upper[0], upper[1]] = table[rows, n:]
         block[:, upper[1], upper[0]] = table[rows, n:]
-    ends = np.array([len(rows) for rows in trial_rows])
+    ends = np.array([len(rows) for rows in trial_rows], dtype=int)
     return space, TrialStack(longest, means, covs, ends)
 
 

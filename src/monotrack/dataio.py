@@ -149,7 +149,7 @@ def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:
     ``kind`` is "annotation" (class and visibility read when present) or
     "detection" (trailing placeholder fields ignored).  Blank lines are
     skipped; any other malformed line, a non-finite number included,
-    raises ``ParseError`` with its line number.
+    raises ``ParseError`` with the file and its line number.
     """
     if kind not in ("annotation", "detection"):
         raise ValueError(f"unknown file kind {kind!r}")
@@ -161,17 +161,19 @@ def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:
                 continue
             fields = [f.strip() for f in text.split(",")]
             if len(fields) < 7:
-                raise ParseError(lineno, f"expected at least 7 fields, got {len(fields)}")
+                raise ParseError(
+                    lineno, f"expected at least 7 fields, got {len(fields)}", path
+                )
             try:
                 frame = int(fields[0])
                 track_id = int(fields[1])
                 # Box and confidence; an annotation's class and visibility.
                 numbers = [float(f) for f in fields[2 : 9 if kind == "annotation" else 7]]
             except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
+                raise ParseError(lineno, str(exc), path) from exc
             for raw, value in zip(fields[2:], numbers):
                 if not math.isfinite(value):
-                    raise ParseError(lineno, f"not a finite number: {raw!r}")
+                    raise ParseError(lineno, f"not a finite number: {raw!r}", path)
             left, top, width, height, conf = numbers[:5]
             cls = int(numbers[5]) if len(numbers) > 5 else None
             visibility = numbers[6] if len(numbers) > 6 else None

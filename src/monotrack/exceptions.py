@@ -6,6 +6,8 @@ so callers can catch one base class at the CLI boundary.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class EstimationError(Exception):
     """Base class for all errors raised by this package."""
@@ -56,11 +58,16 @@ class FrameMisalignment(EstimationError):
 
 
 class ParseError(EstimationError):
-    """A data file could not be parsed, at a known line or as a whole."""
+    """A data file could not be parsed, at a known line or as a whole;
+    the message names the file when ``path`` is given."""
 
-    def __init__(self, line_number: int | None, message: str):
+    def __init__(
+        self, line_number: int | None, message: str, path: str | Path | None = None
+    ):
         if line_number is not None:
             message = f"line {line_number}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line_number = line_number
 

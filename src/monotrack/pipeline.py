@@ -6,24 +6,25 @@ the results against the annotations in bounding-box space and, for the
 3D filter, against semi-annotations in camera space.
 
 A lane is one (track, trial) detection series.  Each filter makes one
-pass over a set of lanes: every track of a real-detection run, or the
-M Monte Carlo trials of one track.  The lanes of a pass step together
-on the absolute frame number: each frame is one call of each filter
-step on the stack of the lanes that take it, and a pass of one lane is
-the same loop without the stack axis.  Tracks may start, end and miss
-detections at different frames.  A lane's estimates begin at its
-track's first detection; frames with no detection advance by
-prediction only.  A filter that leaves its domain (for example, a sigma
-point falling behind the camera) stops only the lane it belongs to,
-which keeps its estimates up to the frame before; the other lanes go
-on.  Frames that some trial of a track did not reach are excluded from
-that track's metrics and counted as skipped.
+pass over a group of tracks: every track of a real-detection run, or
+one track with its M Monte Carlo trials.  Either way a track's
+detections come as the indices of its frames that have a detection and
+an (M, D, 4) array of its trials' detections there, with M = 1 for real
+detections.  The lanes of a pass step together on the absolute frame
+number: each frame is one call of each filter step on the stack of the
+lanes that take it.  Tracks may start, end and miss detections at
+different frames.  A lane's estimates begin at its track's first
+detection; frames with no detection advance by prediction only.  A
+filter that leaves its domain (for example, a sigma point falling behind
+the camera) stops only the lane it belongs to, which keeps its
+estimates up to the frame before; the other lanes go on.  Frames that
+some trial of a track did not reach are excluded from that track's
+metrics and counted as skipped.
 
 Any other error escapes the pass and ends the run; the files written
-before it stay.  A Monte Carlo run writes each track's files before the
-next track runs.  A real-detection run writes the estimates files of
-each filter's pass, for every track, as the pass ends, and the metrics
-and summary files once every pass has run.
+before it stay.  Each filter's estimates files are written as its pass
+ends, and the metrics and summary files once every pass of a group has
+run.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .models import (
     build_model_2d,
     build_model_3d,
 )
-from .sim import SimConfig, simulate_detections
 
 # Filter errors that end a track instead of crashing the run.
 _TRACK_STOPPERS = (
@@ -218,8 +218,8 @@ class FilterRun:
 
 @dataclass
 class FilterPass:
-    """One filter's pass over several tracks: one ``FilterRun`` per track,
-    in the order the tracks were given."""
+    """One filter's pass over a group of tracks: one ``FilterRun`` per
+    track, in the order the tracks were given."""
 
     runs: list[FilterRun]
 
@@ -229,8 +229,9 @@ class FilterPass:
         return next((run.failure for run in self.runs if run.failure is not None), None)
 
 
-# One track's M detection series, each aligned with its frames.
-Trials = Sequence[Sequence[np.ndarray | None]]
+# One track's detections: the indices of its frames that have one, and
+# the (M, D, 4) array of its M trials' detections at those D frames.
+Detections = tuple[Sequence[int], np.ndarray]
 _Step = Callable[[GaussianEstimate | None, np.ndarray | None], GaussianEstimate]
 _Stop = Callable[[int, Exception], None]
 
@@ -248,15 +249,12 @@ def _advance(
     ``est`` stacks the lanes' estimates and ``z`` their detections.  If
     the stacked step stops, each lane takes the step alone: one that
     stops goes to ``stop`` with its error, and the rest go on with the
-    rows they got alone, which equal their rows of a stacked step.  The
-    lane of a one-lane pass has no stack axis and is already alone.
+    rows they got alone, which equal their rows of a stacked step.
     """
     try:
         return step(est, z), lanes
-    except _TRACK_STOPPERS as exc:
-        if (z if est is None else est.mean).ndim == 1:
-            stop(int(lanes[0]), exc)
-            return None, lanes[:0]
+    except _TRACK_STOPPERS:
+        pass
     kept: list[int] = []
     results: list[GaussianEstimate] = []
     for i, lane in enumerate(lanes.tolist()):
@@ -306,32 +304,42 @@ def _advance_where(
     return _keep(mean, cov, lanes, ~mask | done)
 
 
-def _stack_detections(trials: Trials) -> tuple[list[int], np.ndarray]:
-    """The indices of the frames with detections and the (D, M, 4) stack
-    of the M trials' detections there; the trials must miss the same
-    frames."""
-    frames = list(zip(*trials))
-    detected = [i for i, frame in enumerate(frames) if frame[0] is not None]
-    if any((z is None) != (frame[0] is None) for frame in frames for z in frame):
-        raise DimensionMismatch("trials must miss the same frames")
-    return detected, np.array([frames[i] for i in detected], dtype=float)
-
-
-def _run_pass(
+def run_filter(
     tracks: Sequence[TrackSequence],
-    trials: Sequence[Trials],
+    detections: Sequence[Detections],
     bundle: ModelBundle,
     filter_name: str,
 ) -> FilterPass:
-    """Push one filter along every lane of several tracks; see
-    ``run_filter``."""
+    """Push one filter along every lane of a group of tracks in one pass.
+
+    ``detections`` holds each track's detections: the indices into
+    ``track.frames`` of the frames with a detection, and the (M, D, 4)
+    array of its M trials' detections there.  The result holds one run
+    per track, in their order.
+
+    Each (track, trial) series is a lane, and all lanes step together on
+    the absolute frame number ``first_frame + k``: at each frame, one
+    call of each filter step covers the lanes that take it.  A lane
+    initializes at its track's first detection, predicts across every
+    frame step (including annotation gaps, which may span several
+    sampling periods), updates where its track has a detection, and
+    stores a row at each of its track's frames.  It leaves after its
+    track's last frame.  So tracks may start, end and miss detections at
+    different frames.  A lane that leaves the filter's domain stops at
+    that frame, alone; its rows up to the frame before stay.  Each lane's
+    rows are bit for bit those of a run of that lane alone.  Any other
+    error escapes the pass with no run returned.
+    """
     spec = FILTERS.get(filter_name)
     if spec is None:
         raise ConfigError(f"unknown filter {filter_name!r}")
+    if len(detections) != len(tracks) or any(
+        z.ndim != 3 or z.shape[1:] != (len(detected), 4) for detected, z in detections
+    ):
+        raise DimensionMismatch("each track needs (M, D, 4) detections at D frames")
     n = len(SPACES[spec.space].names)
-    detections = [_stack_detections(series) for series in trials]
-    starts = [detected[0] if detected else None for detected, _ in detections]
-    sizes = [len(series) for series in trials]
+    starts = [detected[0] if len(detected) else None for detected, _ in detections]
+    sizes = [len(z) for _, z in detections]
     counts = [0 if s is None else len(t.frames) - s for t, s in zip(tracks, starts)]
     # Lanes join in the order of their track's first detection.
     joined = sorted(
@@ -379,12 +387,12 @@ def _run_pass(
     for g in joined:
         m, k = sizes[g], counts[g]
         at = np.asarray(tracks[g].frames[starts[g] :]) + (tracks[g].first_frame - f0)
-        detected, stacked = detections[g]
+        detected, z = detections[g]
         block = slice(len(owner), len(owner) + m)
         has_row[at, block] = True
         rows = [i - starts[g] for i in detected]
         has_z[at[rows], block] = True
-        z_all[at[rows], block] = stacked
+        z_all[at[rows], block] = z.swapaxes(0, 1)
         for trial in range(m):
             owner.append((runs[g], trial))
             base.append(offsets[g] + trial * k)
@@ -402,12 +410,9 @@ def _run_pass(
         joins.setdefault(a, []).append(lane)
         leaves.setdefault(b, []).append(lane)
 
-    lone = lanes_total == 1
     cursor = np.asarray(base)
 
     def detections_at(t: int, lanes: np.ndarray) -> np.ndarray:
-        if lone:
-            return z_all[t, 0]
         return z_all[t] if lanes.size == lanes_total else z_all[t, lanes]
 
     def stop(lane: int, exc: Exception) -> None:
@@ -467,50 +472,11 @@ def _run_pass(
     return FilterPass(runs)
 
 
-def run_filter(
-    track: TrackSequence | Sequence[TrackSequence],
-    trials: Trials | Sequence[Trials],
-    bundle: ModelBundle,
-    filter_name: str,
-) -> FilterRun | FilterPass:
-    """Push one filter along a track's trials, or along several tracks'
-    trials in one pass.
-
-    Given one track, ``trials`` holds its M detection series, each
-    aligned with ``track.frames`` with None where the detector missed;
-    the trials miss the same frames.  The result is that track's run.
-    Given a sequence of tracks, ``trials`` holds each track's series and
-    the result is a ``FilterPass`` with one run per track.
-
-    Each (track, trial) series is a lane, and all lanes step together on
-    the absolute frame number ``first_frame + k``: at each frame, one
-    call of each filter step covers the lanes that take it.  A lane
-    initializes at its track's first detection, predicts across every
-    frame step (including annotation gaps, which may span several
-    sampling periods), updates where its track has a detection, and
-    stores a row at each of its track's frames.  It leaves after its
-    track's last frame.  So tracks may start, end and miss detections at
-    different frames.  A lane that leaves the filter's domain stops at
-    that frame, alone; its rows up to the frame before stay.  Each lane's
-    rows are bit for bit those of a run of that lane alone.  Any other
-    error escapes the pass with no run returned.
-
-    ``run_track`` passes every track of a real-detection run together,
-    and the M trials of one track in a Monte Carlo run.
-    """
-    if isinstance(track, TrackSequence):
-        return _run_pass([track], [trials], bundle, filter_name).runs[0]
-    return _run_pass(track, trials, bundle, filter_name)
-
-
-def real_detection_vectors(track: TrackSequence) -> list[np.ndarray | None]:
-    """The track's associated detections as measurement vectors."""
-    return [box.as_vector() if box is not None else None for box in track.detections]
-
-
-def real_dropout_mask(track: TrackSequence) -> tuple[bool, ...]:
-    """Detection availability of the real sequence, for the simulator."""
-    return tuple(box is not None for box in track.detections)
+def real_detections(track: TrackSequence) -> Detections:
+    """The track's associated detections as one trial (M = 1)."""
+    detected = [i for i, box in enumerate(track.detections) if box is not None]
+    z = np.array([[track.detections[i] for i in detected]], dtype=float)
+    return detected, z.reshape(1, len(detected), 4)
 
 
 @dataclass
@@ -569,37 +535,28 @@ def evaluate_runs(
 
 
 def run_track(
-    track: TrackSequence | Sequence[TrackSequence],
+    tracks: Sequence[TrackSequence],
+    detections: Sequence[Detections],
     bundle: ModelBundle,
     filter_names: tuple[str, ...],
     guessed_height_m: float,
-    sim_cfg: SimConfig | None = None,
-) -> TrackResult | list[TrackResult]:
-    """Run the selected filters over one track, real or simulated, or over
-    the real detections of several tracks.
+) -> list[TrackResult]:
+    """Run the selected filters over a group of tracks and score them.
 
-    With ``sim_cfg`` the detections are Monte Carlo trials around the
-    one track's annotations; otherwise each track's single trial is its
-    associated real detections.  Each filter makes one pass over every
-    lane.  Several tracks give one result per track, in their order.
+    ``detections`` holds each track's detections, real or simulated, as
+    ``run_filter`` takes them.  Each filter makes one pass over every
+    lane.  The result holds one ``TrackResult`` per track, in their order.
     """
-    tracks = [track] if isinstance(track, TrackSequence) else list(track)
-    if sim_cfg is None:
-        trials = [[real_detection_vectors(one)] for one in tracks]
-    elif len(tracks) == 1:
-        trials = [simulate_detections(tracks[0], sim_cfg)]
-    else:
-        raise ConfigError("simulated trials run one track at a time")
-    results = [TrackResult(one, {}, {}, 0) for one in tracks]
+    results = [TrackResult(track, {}, {}, 0) for track in tracks]
     for name in filter_names:
-        for result, run in zip(results, run_filter(tracks, trials, bundle, name).runs):
+        for result, run in zip(results, run_filter(tracks, detections, bundle, name).runs):
             result.runs[name] = run
             result.n_failures += sum(f is not None for f in run.failures)
             for space, series_pair in evaluate_runs(
                 result.track, run, bundle, guessed_height_m
             ).items():
                 result.metrics[(name, space)] = series_pair
-    return results[0] if isinstance(track, TrackSequence) else results
+    return results
 
 
 def write_estimates_csv(
@@ -684,16 +641,11 @@ def write_run_estimates(
 def write_track_outputs(
     out_dir: Path, seq_name: str, result: TrackResult
 ) -> list[Path]:
-    """Write every CSV of one track's result; returns the created paths.
-
-    Estimate files hold every trial of each run the result holds; metric
-    files aggregate them.
-    """
+    """Write the metrics and summary files of one track's result; returns
+    their paths.  ``write_run_estimates`` writes each run's estimates."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{seq_name}_id{result.track.object_id}"
     written: list[Path] = []
-    for run in result.runs.values():
-        written += write_run_estimates(out_dir, seq_name, result.track, run)
     for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
         path = out_dir / f"{stem}_{name}_metrics_{space}.csv"
         write_metrics_csv(path, rmse_series, anees_series)

@@ -47,14 +47,13 @@ def _trial_noise(seed: int, trial: int, frame: int, root: np.ndarray) -> np.ndar
     return root @ rng.standard_normal(4)
 
 
-def simulate_detections(
-    track: TrackSequence, cfg: SimConfig
-) -> list[list[np.ndarray | None]]:
-    """Simulated detections per trial, aligned with ``track.frames``.
+def simulate_detections(track: TrackSequence, cfg: SimConfig) -> np.ndarray:
+    """Simulated detections of ``cfg.trials`` trials at the kept frames.
 
-    Returns ``trials`` lists, each holding one 4-vector (or None on
-    dropped frames) per track frame.  Masked frames are None in every
-    trial; everything else is the annotation plus one seeded noise draw.
+    Returns an (M, D, 4) array: trial t's detections at the D frames of
+    ``track.frames`` that the dropout mask keeps (every frame without a
+    mask), in frame order.  Each is the annotation plus one seeded noise
+    draw.
     """
     if not track.frames:
         raise EmptyTrack(f"track {track.object_id} has no frames")
@@ -69,14 +68,13 @@ def simulate_detections(
                 f"{len(track.frames)} track frames"
             )
     root = sqrt_psd(cfg.noise_cov)
-    centers = [box.as_vector() for box in track.annotations]
-    out: list[list[np.ndarray | None]] = []
+    kept = [
+        (box.as_vector(), k)
+        for box, k, keep in zip(track.annotations, track.frames, mask)
+        if keep
+    ]
+    out = np.empty((cfg.trials, len(kept), 4))
     for trial in range(cfg.trials):
-        row: list[np.ndarray | None] = []
-        for center, k, kept in zip(centers, track.frames, mask):
-            if not kept:
-                row.append(None)
-            else:
-                row.append(center + _trial_noise(cfg.seed, trial, k, root))
-        out.append(row)
+        for d, (center, k) in enumerate(kept):
+            out[trial, d] = center + _trial_noise(cfg.seed, trial, k, root)
     return out

@@ -34,7 +34,7 @@ from monotrack.models import (
     project_state,
 )
 from monotrack.pipeline import FILTER_NAMES, build_bundle, run_track
-from monotrack.sim import SimConfig
+from monotrack.sim import SimConfig, simulate_detections
 
 MOT17_ROOT = Path(os.environ.get("MOT17_ROOT", "data/MOT17"))
 MOT17_SKIP = (
@@ -274,7 +274,8 @@ def _mot17_simulation():
     times: dict[str, float] = {}
     for name in FILTER_NAMES:
         t0 = perf_counter()
-        result = run_track(track, bundle, (name,), 1.65, sim)
+        detections = (list(range(len(track.frames))), simulate_detections(track, sim))
+        (result,) = run_track([track], [detections], bundle, (name,), 1.65)
         times[name] = perf_counter() - t0
         metrics.update(result.metrics)
     _MOT17_CACHE["metrics"] = metrics

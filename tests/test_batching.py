@@ -3,8 +3,8 @@
 Every filter step takes one estimate or a stack of M trials' estimates.
 A stacked step must give each trial bit for bit what that trial gets
 alone, and ``run_filter`` over M trials, or over several tracks, must
-store exactly the rows of single-trial runs, including a trial that
-stops while the others go on.
+store exactly the rows of each lane stepped alone, including a lane
+that stops while the others go on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotrack.dataio import BoundingBox, TrackSequence
-from monotrack.exceptions import ConfigError, DimensionMismatch
+from monotrack.exceptions import DimensionMismatch
 from monotrack.filters import GaussianEstimate
 from monotrack.models import (
     MEASURED_ROWS,
@@ -24,11 +24,11 @@ from monotrack.models import (
     project_state,
 )
 from monotrack.pipeline import (
+    _TRACK_STOPPERS,
     FILTER_NAMES,
     FILTERS,
     build_bundle,
-    real_detection_vectors,
-    real_dropout_mask,
+    real_detections,
     run_filter,
     run_track,
 )
@@ -153,26 +153,59 @@ def test_pow_sensitive_extents_differ_between_square_forms():
         assert np.float64(value) ** 2 != (np.array([value]) ** 2)[0]
 
 
-def assert_rows_match(batched, trial: int, alone) -> None:
-    """Trial ``trial`` of a batched run stored what its lone run stored."""
-    end = alone.ends[0]
-    assert batched.ends[trial] == end
-    assert batched.failures[trial] == alone.failure
-    for space in ("bb", FILTERS[batched.filter_name].space):
-        mine, ref = batched.estimates(space), alone.estimates(space)
-        assert same_bits(mine.means[trial, :end], ref.means[0, :end])
-        assert same_bits(mine.covs[trial, :end], ref.covs[0, :end])
+def lane_alone(track, detected, z, name):
+    """One lane stepped alone with the 1-D step calls: the (native, box)
+    estimates it stores, one pair per row, and why it stopped, or None.
+
+    It initializes at the track's first detection, predicts at every
+    absolute frame step after it, updates where there is a detection,
+    and boxes and stores each of the track's frames from there on.
+    """
+    if not len(detected):
+        return [], "no detections to initialize from"
+    spec = FILTERS[name]
+    at = {track.frames[i]: one for i, one in zip(detected, z)}
+    rows = set(track.frames)
+    stored = []
+    est = None
+    try:
+        for k in range(track.frames[detected[0]], track.frames[-1] + 1):
+            if est is None:
+                est = spec.init(at[k], BUNDLE)
+            else:
+                est = spec.predict(est, BUNDLE)
+                if k in at:
+                    est = spec.update(est, at[k], BUNDLE)
+            if k in rows:
+                stored.append((est, spec.box(est, BUNDLE)))
+    except _TRACK_STOPPERS as exc:
+        return stored, f"{type(exc).__name__}: {exc}"
+    return stored, None
+
+
+def assert_rows_match(run, trial: int, alone) -> None:
+    """Trial ``trial`` of a run stored what its lane stored alone."""
+    stored, failure = alone
+    end = len(stored)
+    assert run.ends[trial] == end
+    assert run.failures[trial] == failure
+    for space, pick in ((FILTERS[run.filter_name].space, 0), ("bb", 1)):
+        stack = run.estimates(space)
+        for row, pair in enumerate(stored):
+            assert same_bits(stack.means[trial, row], pair[pick].mean)
+            assert same_bits(stack.covs[trial, row], pair[pick].cov)
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_run_filter_matches_lone_trial_runs(synthetic_sequence, name):
     track = synthetic_sequence.track()
-    cfg = SimConfig(5, 17, BUNDLE.model2d.R, real_dropout_mask(track))
-    trials = simulate_detections(track, cfg)
-    batched = run_filter(track, trials, BUNDLE, name)
-    assert batched.failure is None
-    for trial, detections in enumerate(trials):
-        assert_rows_match(batched, trial, run_filter(track, [detections], BUNDLE, name))
+    mask = tuple(box is not None for box in track.detections)
+    detected = [i for i, kept in enumerate(mask) if kept]
+    z = simulate_detections(track, SimConfig(5, 17, BUNDLE.model2d.R, mask))
+    passed = run_filter([track], [(detected, z)], BUNDLE, name)
+    assert passed.failure is None
+    for trial, lane in enumerate(z):
+        assert_rows_match(passed.runs[0], trial, lane_alone(track, detected, lane, name))
 
 
 def test_trial_behind_camera_stops_alone():
@@ -181,26 +214,30 @@ def test_trial_behind_camera_stops_alone():
     # stops there with the message of its lone run; the others go on.
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
     track = TrackSequence(1, [0, 1, 2, 3], [box] * 4)
-    z = box.as_vector()
-    trials = [[z + 0.5 * t for _ in range(4)] for t in range(3)]
-    trials[1][1] = np.array([900.0, 600.0, 80.0, 3200.0])
-    batched = run_filter(track, trials, BUNDLE, "ukf3d")
-    assert batched.failures[0] is None and batched.failures[2] is None
-    assert batched.failures[1].startswith("DepthNonPositive: ")
-    assert batched.ends.tolist() == [4, 1, 4]
-    for trial, detections in enumerate(trials):
-        alone = run_filter(track, [detections], BUNDLE, "ukf3d")
-        assert_rows_match(batched, trial, alone)
+    z = np.array([[box.as_vector() + 0.5 * t] * 4 for t in range(3)])
+    z[1, 1] = [900.0, 600.0, 80.0, 3200.0]
+    (run,) = run_filter([track], [([0, 1, 2, 3], z)], BUNDLE, "ukf3d").runs
+    assert run.failures[0] is None and run.failures[2] is None
+    assert run.failures[1].startswith("DepthNonPositive: ")
+    assert run.ends.tolist() == [4, 1, 4]
+    for trial, lane in enumerate(z):
+        assert_rows_match(run, trial, lane_alone(track, [0, 1, 2, 3], lane, "ukf3d"))
 
 
-def test_trials_must_miss_the_same_frames():
+def test_detections_must_fit_their_frames():
+    # A track's M trials have their detections at the same D frames: one
+    # (M, D, 4) array.  Any other shape, or a count of detection sets
+    # that is not the track count, is refused.
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
     track = TrackSequence(1, [0, 1], [box] * 2)
-    z = box.as_vector()
-    run = run_filter(track, [[z, None], [z, None]], BUNDLE, "kf2d")
+    z = np.array([[box.as_vector()]] * 2)
+    (run,) = run_filter([track], [([0], z)], BUNDLE, "kf2d").runs
     assert run.failure is None and run.ends.tolist() == [2, 2]
+    for bad in (z[0], z[..., :3], np.concatenate([z, z], axis=1)):
+        with pytest.raises(DimensionMismatch):
+            run_filter([track], [([0], bad)], BUNDLE, "kf2d")
     with pytest.raises(DimensionMismatch):
-        run_filter(track, [[z, None], [z, z]], BUNDLE, "kf2d")
+        run_filter([track, track], [([0], z)], BUNDLE, "kf2d")
 
 
 def hand_tracks() -> list[TrackSequence]:
@@ -236,16 +273,16 @@ def hand_tracks() -> list[TrackSequence]:
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_multi_track_pass_matches_lone_passes(name):
     tracks = hand_tracks()
-    trials = [[real_detection_vectors(track)] for track in tracks]
+    detections = [real_detections(track) for track in tracks]
     # Track 1 carries a second trial, so a track's lanes form a block.
-    trials[0].append([None if z is None else z + 0.25 for z in trials[0][0]])
-    passed = run_filter(tracks, trials, BUNDLE, name)
+    detected, z = detections[0]
+    detections[0] = (detected, np.concatenate([z, z + 0.25]))
+    passed = run_filter(tracks, detections, BUNDLE, name)
     assert len(passed.runs) == len(tracks)
-    for track, series, run in zip(tracks, trials, passed.runs):
-        for trial, detections in enumerate(series):
-            alone = run_filter(track, [detections], BUNDLE, name)
-            assert run.frames == alone.frames
-            assert_rows_match(run, trial, alone)
+    for track, (detected, z), run in zip(tracks, detections, passed.runs):
+        assert run.frames == track.frames[detected[0] :]
+        for trial, lane in enumerate(z):
+            assert_rows_match(run, trial, lane_alone(track, detected, lane, name))
     failures = [run.failure for run in passed.runs]
     if name == "ukf3d":
         assert failures[0] is None and failures[1] is None
@@ -259,12 +296,11 @@ def test_multi_track_pass_matches_lone_passes(name):
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_multi_track_run_track_scores_each_track_alone(name):
     tracks = hand_tracks()
-    results = run_track(tracks, BUNDLE, (name,), 1.65)
+    detections = [real_detections(track) for track in tracks]
+    results = run_track(tracks, detections, BUNDLE, (name,), 1.65)
     assert [result.track for result in results] == tracks
-    with pytest.raises(ConfigError):
-        run_track(tracks, BUNDLE, (name,), 1.65, SimConfig(2, 1, BUNDLE.model2d.R, None))
-    for track, result in zip(tracks, results):
-        lone = run_track(track, BUNDLE, (name,), 1.65)
+    for track, one, result in zip(tracks, detections, results):
+        (lone,) = run_track([track], [one], BUNDLE, (name,), 1.65)
         assert result.n_failures == lone.n_failures
         assert result.metrics.keys() == lone.metrics.keys()
         for key, series_pair in lone.metrics.items():

@@ -280,8 +280,12 @@ def read_metric_columns(path: Path) -> list[tuple[str, str, str, str]]:
             2,
             {"kf2d": 8, "bot": 8, "ukf3d": 6},
         ),
+        # The one real-detection ukf3d lane stops at its first frame: its
+        # estimates files hold only their header, and both commands
+        # score no trial.
+        (["--gamma", "10000"], 2, {"kf2d": 1, "bot": 1, "ukf3d": 0}),
     ],
-    ids=["real", "simulated", "stopped"],
+    ids=["real", "simulated", "stopped", "all-stopped"],
 )
 def test_evaluate_matches_run_summary(
     synthetic_sequence, tmp_path, capsys, extra, code, n_trials
@@ -319,6 +323,9 @@ def test_evaluate_matches_run_summary(
         assert columns == read_metric_columns(
             out / f"SYN-01_id1_{name}_metrics_{space}.csv"
         )
+        if not columns:
+            assert summary[key]["median_anees"] == "nan"
+            continue
         recomputed = float(np.median([float(row[2]) for row in columns]))
         assert recomputed == pytest.approx(
             float(summary[key]["median_anees"]), rel=1e-12
@@ -342,7 +349,7 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         ("trial,k,frame,space", ["0,0,1,3d", "0,1,2,3d"]),
         ("trial,k,frame,space", ["0,0,1,xy"]),
         ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,3d"]),
-        ("trial,k,frame,space", []),
+        (("trial,k,frame,space", _BB_COLUMNS.replace("mean_x", "mean_q")), ["0,0,1,bb"]),
         ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,bb", "1,1,2,bb"]),
         ("trial,k,frame,space", ["0,500,501,bb"]),
         ("trial,k,frame,space", ["0,0,1,bb", ("0,1,2,bb", _BB_VALUES.replace("900", "nan"))]),
@@ -353,7 +360,7 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         "space-width-mismatch",
         "unknown-space",
         "mixed-spaces",
-        "no-rows",
+        "unknown-state-names",
         "trial-starts-late",
         "frame-not-in-track",
         "non-finite-value",
@@ -362,9 +369,12 @@ _BB_VALUES = "900,600,80,160," + ",".join(
 def test_evaluate_rejects_malformed_estimates(
     synthetic_sequence, tmp_path, capsys, prefix, rows
 ):
-    # A row is its leading fields, given values or else _BB_VALUES.
+    # A header is its leading columns, given state columns or else
+    # _BB_COLUMNS; a row is its leading fields, given values or else
+    # _BB_VALUES.
     path = tmp_path / "bad_estimates.csv"
-    lines = [f"{prefix},{_BB_COLUMNS}"] + [
+    header = (prefix, _BB_COLUMNS) if isinstance(prefix, str) else prefix
+    lines = [",".join(header)] + [
         ",".join((row, _BB_VALUES) if isinstance(row, str) else row) for row in rows
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -510,6 +520,20 @@ def test_out_of_range_values_exit_1(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_parse_errors_name_their_file(synthetic_sequence, tmp_path, capsys):
+    # The same bad row in the annotation file and in the detection file:
+    # each message names the file it is in.
+    for name in ("gt/gt.txt", "det/det.txt"):
+        seq_dir = tmp_path / name.partition("/")[0]
+        shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
+        path = seq_dir / name
+        path.write_text(_set_field(4, 4, "nan")(path.read_text()))
+        args = ["run", "--seq", str(seq_dir), "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 5: not a finite number: 'nan'\n"
 
 
 @pytest.mark.parametrize(

@@ -487,20 +487,23 @@ def test_bot_cycle_stays_positive_semidefinite():
 # ------------------------------------------------------------ 3D estimation
 
 
-def test_unscented_update_matches_linear_update():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        n, m = 6, 3
-        p = random_spd(rng, n)
-        r = random_spd(rng, m)
-        h = rng.standard_normal((m, n))
-        mean = rng.standard_normal(n)
-        z = rng.standard_normal(m)
-        pred = GaussianEstimate(mean, p)
-        linear = kf_update(pred, z, h, r)
-        nonlin = unscented_kalman_update(pred, z, lambda pts: h @ pts, r)
-        assert nonlin.mean == pytest.approx(linear.mean, rel=1e-9, abs=1e-9)
-        assert nonlin.cov == pytest.approx(linear.cov, rel=1e-8, abs=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_unscented_update_matches_linear_update(n, seed, data):
+    # On an affine measurement z = Hx + c the unscented update is exact:
+    # it equals the linear update of z - c, for every state dimension n,
+    # measurement dimension m <= n, and SPD prior and noise.
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((m, n))
+    c = rng.standard_normal(m)
+    pred = GaussianEstimate(rng.standard_normal(n), random_spd(rng, n))
+    r = random_spd(rng, m)
+    z = rng.standard_normal(m)
+    linear = kf_update(pred, z - c, h, r)
+    nonlin = unscented_kalman_update(pred, z, lambda pts: h @ pts + c[:, None], r)
+    np.testing.assert_allclose(nonlin.mean, linear.mean, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(nonlin.cov, linear.cov, rtol=1e-9, atol=1e-9)
 
 
 def test_unscented_update_rejects_mismatch():

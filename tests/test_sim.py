@@ -33,27 +33,22 @@ def test_config_validation():
 def test_zero_noise_reproduces_annotations():
     track = make_track()
     out = simulate_detections(track, SimConfig(2, 0, np.zeros((4, 4))))
-    assert len(out) == 2 and all(len(row) == 5 for row in out)
+    assert out.shape == (2, 5, 4)
     for row in out:
-        for det, box in zip(row, track.annotations):
-            assert np.array_equal(det, box.as_vector())
+        assert np.array_equal(row, [box.as_vector() for box in track.annotations])
 
 
 def test_same_seed_is_bit_identical():
     track = make_track()
     cfg = SimConfig(3, 42, measurement_noise(1080.0))
-    first = simulate_detections(track, cfg)
-    second = simulate_detections(track, cfg)
-    for row_a, row_b in zip(first, second):
-        for det_a, det_b in zip(row_a, row_b):
-            assert np.array_equal(det_a, det_b)
+    assert np.array_equal(simulate_detections(track, cfg), simulate_detections(track, cfg))
 
 
 def test_different_seeds_differ():
     track = make_track()
     a = simulate_detections(track, SimConfig(1, 1, measurement_noise(1080.0)))
     b = simulate_detections(track, SimConfig(1, 2, measurement_noise(1080.0)))
-    assert not np.array_equal(a[0][0], b[0][0])
+    assert not np.array_equal(a[0, 0], b[0, 0])
 
 
 def test_trials_are_prefix_stable():
@@ -62,9 +57,7 @@ def test_trials_are_prefix_stable():
     track = make_track()
     small = simulate_detections(track, SimConfig(2, 7, measurement_noise(1080.0)))
     large = simulate_detections(track, SimConfig(5, 7, measurement_noise(1080.0)))
-    for row_a, row_b in zip(small, large):
-        for det_a, det_b in zip(row_a, row_b):
-            assert np.array_equal(det_a, det_b)
+    assert np.array_equal(small, large[:2])
 
 
 def test_dropout_does_not_shift_other_frames():
@@ -74,12 +67,8 @@ def test_dropout_does_not_shift_other_frames():
     cfg_masked = SimConfig(2, 9, measurement_noise(1080.0), dropout_mask=mask)
     full = simulate_detections(track, cfg_full)
     masked = simulate_detections(track, cfg_masked)
-    for row_full, row_masked in zip(full, masked):
-        for det_full, det_masked, kept in zip(row_full, row_masked, mask):
-            if kept:
-                assert np.array_equal(det_full, det_masked)
-            else:
-                assert det_masked is None
+    # Only the kept frames have detections, the same ones as unmasked.
+    assert np.array_equal(masked, full[:, [0, 2, 4]])
 
 
 def test_dropout_respects_frame_numbers():
@@ -119,7 +108,7 @@ def test_sample_moments_match_noise_law():
     r = measurement_noise(1080.0)
     n = 20000
     out = simulate_detections(track, SimConfig(n, 123, r))
-    draws = np.array([row[0] for row in out]) - track.annotations[0].as_vector()
+    draws = out[:, 0] - track.annotations[0].as_vector()
     scale = np.sqrt(np.outer(np.diag(r), np.diag(r)))
     sample_cov = np.cov(draws.T)
     assert np.abs(sample_cov - r).max() / scale.max() < 5.0 * np.sqrt(2.0 / n)
