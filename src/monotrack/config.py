@@ -111,6 +111,13 @@ def _int(raw: str) -> int:
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
+def _seed(raw: str) -> int:
+    value = _int(raw)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _ints(raw: str) -> tuple[int, ...]:
     return tuple(_int(p.strip()) for p in raw.split(",") if p.strip())
 
@@ -124,6 +131,8 @@ def _point(raw: str) -> tuple[float, float]:
 
 def _filter_names(raw: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in raw.split(",") if p.strip())
+    if not names:
+        raise ValueError(f"expected at least one filter name, got {raw!r}")
     for name in names:
         if name not in FILTER_NAMES:
             raise ValueError(f"unknown filter {name!r}")
@@ -154,7 +163,7 @@ SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
     ("filters", "max_speed_mps"): (_float, "init.max_speed_mps"),
     ("filters", "max_extent_rate_mps"): (_float, "init.max_extent_rate_mps"),
     ("sim", "trials"): (_int, "trials"),
-    ("sim", "seed"): (_int, "seed"),
+    ("sim", "seed"): (_seed, "seed"),
     ("sim", "dropout"): (_dropout, "dropout"),
     ("run", "sequence"): (Path, "seq_dir"),
     ("run", "gt"): (Path, "gt_path"),

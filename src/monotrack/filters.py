@@ -119,10 +119,30 @@ class GaussianEstimate:
     checked trial by trial only if one fails.  A failed check raises
     ``InvalidEstimate`` (a ``ValueError``) for the first invalid trial,
     or ``DimensionMismatch`` for a shape error.
+
+    ``put`` writes a stack into rows of slot arrays (an (L, n) mean and
+    an (L, n, n) covariance) and ``take`` stacks rows of them again
+    without validating: every row was validated when the estimate ``put``
+    wrote was built.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+
+    @classmethod
+    def take(
+        cls, mean: np.ndarray, cov: np.ndarray, rows: slice | np.ndarray
+    ) -> GaussianEstimate:
+        """The stack of rows ``rows`` of slot arrays that only ``put``
+        wrote."""
+        est = object.__new__(cls)
+        object.__setattr__(est, "mean", mean[rows])
+        object.__setattr__(est, "cov", cov[rows])
+        return est
+
+    def put(self, mean: np.ndarray, cov: np.ndarray, rows: slice | np.ndarray) -> None:
+        """Write this stack into rows ``rows`` of slot arrays."""
+        mean[rows], cov[rows] = self.mean, self.cov
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)

@@ -11,15 +11,18 @@ one track with its M Monte Carlo trials.  Either way a track's
 detections come as the indices of its frames that have a detection and
 an (M, D, 4) array of its trials' detections there, with M = 1 for real
 detections.  The lanes of a pass step together on the absolute frame
-number: each frame is one call of each filter step on the stack of the
-lanes that take it.  Tracks may start, end and miss detections at
-different frames.  A lane's estimates begin at its track's first
-detection; frames with no detection advance by prediction only.  A
-filter that leaves its domain (for example, a sigma point falling behind
-the camera) stops only the lane it belongs to, which keeps its
-estimates up to the frame before; the other lanes go on.  Frames that
-some trial of a track did not reach are excluded from that track's
-metrics and counted as skipped.
+number.  Each lane keeps its current estimate in a fixed slot, one row
+of the pass's stacked mean and covariance arrays, and a schedule built
+once per pass says which lanes predict, update, initialize and are
+stored at each frame.  Each step of a frame is one call of the filter
+on the stack of its lanes' slots.  Tracks may start, end and miss
+detections at different frames.  A lane's estimates begin at its
+track's first detection; frames with no detection advance by prediction
+only.  A filter that leaves its domain (for example, a sigma point
+falling behind the camera) stops only the lane it belongs to, which
+keeps its estimates up to the frame before; the other lanes go on.
+Frames that some trial of a track did not reach are excluded from that
+track's metrics and counted as skipped.
 
 Any other error escapes the pass and ends the run; the files written
 before it stay.  Each filter's estimates files are written as its pass
@@ -273,37 +276,6 @@ def _advance(
     return stacked, lanes[kept]
 
 
-def _keep(
-    mean: np.ndarray, cov: np.ndarray, lanes: np.ndarray, keep: np.ndarray
-) -> tuple[GaussianEstimate | None, np.ndarray]:
-    """The lanes where ``keep`` holds and their stacked estimates, or
-    None if there are none."""
-    if not keep.any():
-        return None, lanes[:0]
-    return GaussianEstimate(mean[keep], cov[keep]), lanes[keep]
-
-
-def _advance_where(
-    step: _Step,
-    est: GaussianEstimate,
-    z: np.ndarray,
-    lanes: np.ndarray,
-    mask: np.ndarray,
-    stop: _Stop,
-) -> tuple[GaussianEstimate | None, np.ndarray]:
-    """``_advance`` on the lanes where ``mask`` holds, gathered into one
-    sub-stack; the other lanes keep their estimates."""
-    stepped, kept = _advance(
-        step, GaussianEstimate(est.mean[mask], est.cov[mask]), z, lanes[mask], stop
-    )
-    done = mask.copy()
-    done[mask] = np.isin(lanes[mask], kept)
-    mean, cov = est.mean.copy(), est.cov.copy()
-    if kept.size:
-        mean[done], cov[done] = stepped.mean, stepped.cov
-    return _keep(mean, cov, lanes, ~mask | done)
-
-
 def run_filter(
     tracks: Sequence[TrackSequence],
     detections: Sequence[Detections],
@@ -318,17 +290,25 @@ def run_filter(
     per track, in their order.
 
     Each (track, trial) series is a lane, and all lanes step together on
-    the absolute frame number ``first_frame + k``: at each frame, one
-    call of each filter step covers the lanes that take it.  A lane
-    initializes at its track's first detection, predicts across every
-    frame step (including annotation gaps, which may span several
-    sampling periods), updates where its track has a detection, and
-    stores a row at each of its track's frames.  It leaves after its
-    track's last frame.  So tracks may start, end and miss detections at
-    different frames.  A lane that leaves the filter's domain stops at
-    that frame, alone; its rows up to the frame before stay.  Each lane's
-    rows are bit for bit those of a run of that lane alone.  Any other
-    error escapes the pass with no run returned.
+    the absolute frame number ``first_frame + k``.  A lane initializes at
+    its track's first detection, predicts across every frame step
+    (including annotation gaps, which may span several sampling periods),
+    updates where its track has a detection, and stores a row at each of
+    its track's frames.  It leaves after its track's last frame.  So
+    tracks may start, end and miss detections at different frames.
+
+    Every lane's current estimate lives in its own slot, one row of an
+    (L, n) mean and an (L, n, n) covariance array.  A schedule built once
+    per pass says which lanes predict, update, initialize and are stored
+    at each frame, and at each frame the steps run in that order.  Each
+    step gathers its lanes' rows (all rows, with no copy, when every lane
+    takes it), makes one filter call on the stack and scatters the rows
+    of the lanes it kept back into their slots, or, for the box step,
+    into the stored rows.  A lane that leaves the filter's domain stops at
+    that frame, alone, and takes no further step; its rows up to the
+    frame before stay.  Each lane's rows are bit for bit those of a run
+    of that lane alone.  Any other error escapes the pass with no run
+    returned.
     """
     spec = FILTERS.get(filter_name)
     if spec is None:
@@ -341,21 +321,14 @@ def run_filter(
     starts = [detected[0] if len(detected) else None for detected, _ in detections]
     sizes = [len(z) for _, z in detections]
     counts = [0 if s is None else len(t.frames) - s for t, s in zip(tracks, starts)]
-    # Lanes join in the order of their track's first detection.
-    joined = sorted(
-        (g for g, start in enumerate(starts) if start is not None),
-        key=lambda g: tracks[g].first_frame + tracks[g].frames[starts[g]],
-    )
-    # Every lane's rows, one block of M lanes per track, in lane order;
+    # Every lane's rows, one block of M lanes per track, in track order;
     # each run's stacks are views of its block.
-    blocks = [sizes[g] * counts[g] for g in joined]
-    offsets = dict(zip(joined, np.cumsum([0] + blocks).tolist()))
-    store = [np.zeros((sum(blocks),) + shape) for shape in ((n,), (n, n), (4,), (4, 4))]
+    offsets = np.cumsum([0] + [m * k for m, k in zip(sizes, counts)]).tolist()
+    store = [np.zeros((offsets[-1],) + shape) for shape in ((n,), (n, n), (4,), (4, 4))]
     runs: list[FilterRun] = []
     for g, (track, m, k) in enumerate(zip(tracks, sizes, counts)):
-        start = offsets.get(g, 0)
         mean, cov, box_mean, box_cov = (
-            a[start : start + m * k].reshape((m, k) + a.shape[1:]) for a in store
+            a[offsets[g] : offsets[g + 1]].reshape((m, k) + a.shape[1:]) for a in store
         )
         frames = list(track.frames[starts[g] :]) if k else []
         ends = np.full(m, k)
@@ -367,6 +340,7 @@ def run_filter(
                 [None if k else "no detections to initialize from"] * m,
             )
         )
+    joined = [g for g, k in enumerate(counts) if k]
     if not joined:
         return FilterPass(runs)
 
@@ -398,77 +372,50 @@ def run_filter(
             base.append(offsets[g] + trial * k)
             first.append(int(at[0]))
             last.append(int(at[-1]))
-    frame = np.arange(span)[:, None]
-    within = (np.asarray(first) <= frame) & (frame <= np.asarray(last))
-    # Frames where every lane that steps there has a detection (a row):
-    # the step takes the whole stack, with no gathering.
-    update_all = (has_z | ~(within & (np.asarray(first) < frame))).all(axis=1).tolist()
-    box_all = (has_row | ~within).all(axis=1).tolist()
-    joins: dict[int, list[int]] = {}
-    leaves: dict[int, list[int]] = {}
-    for lane, (a, b) in enumerate(zip(first, last)):
-        joins.setdefault(a, []).append(lane)
-        leaves.setdefault(b, []).append(lane)
-
-    cursor = np.asarray(base)
-
-    def detections_at(t: int, lanes: np.ndarray) -> np.ndarray:
-        return z_all[t] if lanes.size == lanes_total else z_all[t, lanes]
-
-    def stop(lane: int, exc: Exception) -> None:
-        run, trial = owner[lane]
-        run.stop(trial, int(cursor[lane]) - base[lane], exc)
 
     init: _Step = lambda _, z: spec.init(z, bundle)  # noqa: E731
     predict: _Step = lambda est, _: spec.predict(est, bundle)  # noqa: E731
     update: _Step = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
     box_of: _Step = lambda est, _: spec.box(est, bundle)  # noqa: E731
-    # The live lanes in lane order, and their stacked estimates.
-    live = np.arange(0)
-    est: GaussianEstimate | None = None
+    # The schedule: per step, in the order they run at a frame, which
+    # lanes take it at each pass frame.
+    frame = np.arange(span)[:, None]
+    first_at, last_at = np.asarray(first), np.asarray(last)
+    schedule = (
+        (predict, (first_at < frame) & (frame <= last_at)),
+        (update, has_z & (first_at < frame)),
+        (init, first_at == frame),
+        (box_of, has_row),
+    )
+    # Each lane's slot, and whether it has not stopped.
+    mean, cov = np.zeros((lanes_total, n)), np.zeros((lanes_total, n, n))
+    alive = np.ones(lanes_total, dtype=bool)
+    cursor = np.asarray(base)
+
+    def stop(lane: int, exc: Exception) -> None:
+        alive[lane] = False
+        run, trial = owner[lane]
+        run.stop(trial, int(cursor[lane]) - base[lane], exc)
+
     for t in range(span):
-        if live.size:
-            est, live = _advance(predict, est, None, live, stop)
-        if live.size:
-            if update_all[t]:
-                est, live = _advance(update, est, detections_at(t, live), live, stop)
+        for step, due in schedule:
+            lanes = (due[t] & alive).nonzero()[0]
+            if not lanes.size:
+                continue
+            gather = slice(None) if lanes.size == lanes_total else lanes
+            est = None if step is init else GaussianEstimate.take(mean, cov, gather)
+            out, kept = _advance(step, est, z_all[t, gather], lanes, stop)
+            if not kept.size:
+                continue
+            # The rows of the lanes kept: all those gathered unless one stopped.
+            scatter = gather if kept.size == lanes.size else kept
+            if step is box_of:
+                slots = cursor[scatter]
+                GaussianEstimate.take(mean, cov, scatter).put(store[0], store[1], slots)
+                out.put(store[2], store[3], slots)
+                cursor[scatter] += 1
             else:
-                mask = has_z[t, live]
-                if mask.any():
-                    z = detections_at(t, live[mask])
-                    est, live = _advance_where(update, est, z, live, mask, stop)
-        if t in joins:
-            lanes = np.asarray(joins[t])
-            new, lanes = _advance(init, None, detections_at(t, lanes), lanes, stop)
-            if est is None:
-                est, live = new, lanes
-            elif new is not None:
-                est = GaussianEstimate(
-                    np.concatenate([est.mean, new.mean]),
-                    np.concatenate([est.cov, new.cov]),
-                )
-                live = np.concatenate([live, lanes])
-        if live.size:
-            if box_all[t]:
-                boxed, stored = est, live
-            else:
-                boxed, stored = _keep(est.mean, est.cov, live, has_row[t, live])
-            if boxed is not None:
-                box, kept = _advance(box_of, boxed, None, stored, stop)
-                if kept.size < stored.size:
-                    # A lane that stops at its box stores neither estimate.
-                    stopped = np.setdiff1d(stored, kept)
-                    est, live = _keep(est.mean, est.cov, live, ~np.isin(live, stopped))
-                    boxed, _ = _keep(boxed.mean, boxed.cov, stored, np.isin(stored, kept))
-                if kept.size:
-                    slots = cursor[kept]
-                    for a, value in zip(store, (boxed.mean, boxed.cov, box.mean, box.cov)):
-                        a[slots] = value
-                    cursor[kept] += 1
-        if t in leaves and live.size:
-            gone = np.isin(live, leaves[t])
-            if gone.any():
-                est, live = _keep(est.mean, est.cov, live, ~gone)
+                out.put(mean, cov, scatter)
     return FilterPass(runs)
 
 

@@ -4,7 +4,7 @@ Every filter step takes one estimate or a stack of M trials' estimates.
 A stacked step must give each trial bit for bit what that trial gets
 alone, and ``run_filter`` over M trials, or over several tracks, must
 store exactly the rows of each lane stepped alone, including a lane
-that stops while the others go on.
+that stops while the others go on, at any of its steps.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monotrack import pipeline
 from monotrack.dataio import BoundingBox, TrackSequence
-from monotrack.exceptions import DimensionMismatch
+from monotrack.exceptions import DepthNonPositive, DimensionMismatch
 from monotrack.filters import GaussianEstimate
 from monotrack.models import (
     MEASURED_ROWS,
@@ -238,6 +239,64 @@ def test_detections_must_fit_their_frames():
             run_filter([track], [([0], bad)], BUNDLE, "kf2d")
     with pytest.raises(DimensionMismatch):
         run_filter([track, track], [([0], z)], BUNDLE, "kf2d")
+
+
+# The pipeline names of each filter's predict and update functions.
+STEP_FUNCTIONS = {
+    "predict": {"kf2d": "kf_predict", "bot": "bot_predict", "ukf3d": "ukf_predict"},
+    "update": {"kf2d": "kf_update", "bot": "bot_update", "ukf3d": "ukf_update"},
+}
+# Where a patched predict refuses a lane: its first state component (image
+# x in pixels, or lateral position in metres for ukf3d) past this limit.
+PREDICT_X_LIMIT = {"kf2d": 1200.0, "bot": 1200.0, "ukf3d": 2.0}
+
+
+@pytest.mark.parametrize("step", ["predict", "update"])
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_lane_stopping_at_predict_or_update_stops_alone(monkeypatch, name, step):
+    # The filter's predict (or update) refuses any stack that holds a lane
+    # past x = 1200 px, as a domain error.  Only track 2 walks that far,
+    # so it stops mid-track, at frame 6 for the update, while track 1's
+    # two trials, which have no detection at frame 6, and track 3 go on.
+    attribute = STEP_FUNCTIONS[step][name]
+    original = getattr(pipeline, attribute)
+
+    def refusing(est, *args):
+        x = args[0][..., 0] if step == "update" else est.mean[..., 0]
+        limit = 1200.0 if step == "update" else PREDICT_X_LIMIT[name]
+        if (x > limit).any():
+            raise DepthNonPositive("past the x limit")
+        return original(est, *args)
+
+    monkeypatch.setattr(pipeline, attribute, refusing)
+
+    def track(object_id: int, x0: float, dx: float, first: int, dropped: set[int]):
+        boxes = [BoundingBox(x0 + dx * k, 600.0 + k, 80.0, 160.0 + k) for k in range(10)]
+        seen = [
+            None if first + k in dropped else BoundingBox(b.x + 1.5, b.y - 0.5, b.w, b.h)
+            for k, b in enumerate(boxes)
+        ]
+        return TrackSequence(object_id, list(range(10)), boxes, seen, first_frame=first)
+
+    tracks = [
+        track(1, 700.0, 3.0, 0, {6}),
+        track(2, 1000.0, 50.0, 2, set()),
+        track(3, 900.0, 3.0, 0, set()),
+    ]
+    detections = [real_detections(one) for one in tracks]
+    detected, z = detections[0]
+    detections[0] = (detected, np.concatenate([z, z + 0.25]))
+    passed = run_filter(tracks, detections, BUNDLE, name)
+    for one, (detected, z), run in zip(tracks, detections, passed.runs):
+        for trial, lane in enumerate(z):
+            assert_rows_match(run, trial, lane_alone(one, detected, lane, name))
+    stopped = passed.runs[1]
+    assert stopped.failures == ["DepthNonPositive: past the x limit"]
+    assert 0 < stopped.ends[0] < 10
+    if step == "update":
+        assert stopped.ends.tolist() == [4]
+    for run in (passed.runs[0], passed.runs[2]):
+        assert run.failure is None and (run.ends == 10).all()
 
 
 def hand_tracks() -> list[TrackSequence]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotrack.camera import DEPTH_EPSILON, CameraIntrinsics, backproject
 from monotrack.exceptions import DepthNonPositive, NonPositiveHeight
@@ -128,16 +130,31 @@ def test_backproject_rejects_nonpositive_depth():
         backproject(CAM, np.zeros(4), np.zeros(4), heights, np.full(4, 1.65))
 
 
-def test_roundtrip_random_points():
-    rng = np.random.default_rng(42)
-    n = 500
-    states = np.zeros((8, n))
-    states[0] = rng.uniform(-10, 10, n)
-    states[2] = rng.uniform(-10, 10, n)
-    states[4] = rng.uniform(0.5, 50, n)
-    states[7] = rng.uniform(0.3, 2.5, n)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-10.0, 10.0),
+            st.floats(-10.0, 10.0),
+            st.floats(0.5, 50.0),
+            st.floats(0.3, 2.5),
+            st.floats(-3.0, 3.0),
+            st.floats(0.2, 1.5),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_roundtrip_random_points(points):
+    # backproject after project_state returns each point's position, from
+    # its image position and height and its true body height, whatever
+    # its velocity and width.
+    x, y, z, height, speed, width = np.array(points).T
+    states = np.zeros((8, len(points)))
+    states[0], states[2], states[4], states[7], states[6] = x, y, z, height, width
+    states[1] = states[3] = states[5] = speed
     out = project_state(MODEL, states)
-    back = np.stack(backproject(CAM, out[0] - CU, out[2] - CV, out[6], states[7]))
+    back = np.stack(backproject(CAM, out[0] - CU, out[2] - CV, out[6], height))
     err = np.abs(back - states[[0, 2, 4]]).max(axis=0)
     scale = np.maximum(1.0, np.abs(states[[0, 2, 4]]).max(axis=0))
     assert (err <= 1e-12 * scale).all()

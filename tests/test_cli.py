@@ -480,32 +480,38 @@ def _set_field(line: int, field: int, value: str):
 
 
 @pytest.mark.parametrize(
-    "command,extra,ini,edit",
+    "command,extra,ini,edit,message",
     [
-        ("run", ["--gamma", "-1"], None, None),
-        ("run", ["--image-size", "0x0"], None, None),
-        ("run", [], "[models]\ntau_h = 0\n", None),
-        ("run", [], "[models]\nq_x = -1\n", None),
-        ("run", [], "[models]\nzeta_r = 0\n", None),
-        ("run", [], "[filters]\nmean_height_m = -1\n", None),
-        ("inspect", [], None, ("gt/gt.txt", lambda text: text + text.splitlines(True)[0])),
-        ("run", ["--trials", "2"], None, ("gt/gt.txt", _set_field(4, 4, "nan"))),
+        ("run", ["--gamma", "-1"], None, None, ""),
+        ("run", ["--image-size", "0x0"], None, None, ""),
+        ("run", [], "[models]\ntau_h = 0\n", None, ""),
+        ("run", [], "[models]\nq_x = -1\n", None, ""),
+        ("run", [], "[models]\nzeta_r = 0\n", None, ""),
+        ("run", [], "[filters]\nmean_height_m = -1\n", None, ""),
+        ("inspect", [], None, ("gt/gt.txt", lambda text: text + text.splitlines(True)[0]), ""),
+        ("run", ["--trials", "2"], None, ("gt/gt.txt", _set_field(4, 4, "nan")), ""),
         (
             "inspect", [], None,
             ("seqinfo.ini", lambda text: re.sub(r"frameRate=\S+", "frameRate=inf", text)),
+            "",
         ),
+        ("run", ["--trials", "2", "--seed", "-1"], None, None, "[sim] seed: "),
+        ("simulate", ["--trials", "1"], "[sim]\nseed = -1\n", None, "[sim] seed: "),
+        ("run", ["--filter", ","], None, None, "[filters] names: "),
     ],
     ids=[
         "gamma", "image-size", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row",
-        "gt-nan-width", "seqinfo-frame-rate-inf",
+        "gt-nan-width", "seqinfo-frame-rate-inf", "run-seed", "simulate-seed",
+        "no-filters",
     ],
 )
 def test_out_of_range_values_exit_1(
-    synthetic_sequence, tmp_path, capsys, command, extra, ini, edit
+    synthetic_sequence, tmp_path, capsys, command, extra, ini, edit, message
 ):
     # Each value parses, but a record's check or an input file's rejects
     # it; the command reports that as an error, not a traceback.  An edit
-    # rewrites one file of a copy of the sequence.
+    # rewrites one file of a copy of the sequence.  A key's own check
+    # names the key.
     seq_dir = synthetic_sequence.seq_dir
     if edit is not None:
         seq_dir = tmp_path / "seq"
@@ -519,7 +525,7 @@ def test_out_of_range_values_exit_1(
         args += ["--config", str(config)]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_parse_errors_name_their_file(synthetic_sequence, tmp_path, capsys):

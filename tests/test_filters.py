@@ -369,14 +369,24 @@ def test_kf_update_never_inflates_covariance():
         assert np.linalg.eigvalsh(post.cov).min() >= -1e-12 * np.trace(post.cov)
 
 
-def test_joseph_form_tolerates_suboptimal_gain():
-    # The Joseph expression stays positive semidefinite for any gain.
-    rng = np.random.default_rng(41)
-    h = measurement_matrix()
-    p = random_spd(rng, 8)
-    r = random_spd(rng, 4)
-    s = h @ p @ h.T + r
-    k = np.linalg.solve(s, h @ p).T + 1e-6 * rng.standard_normal((8, 4))
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_gain=st.floats(-3.0, 3.0),
+    data=st.data(),
+)
+def test_joseph_form_tolerates_suboptimal_gain(n, seed, log_gain, data):
+    # The Joseph expression stays symmetric positive semidefinite for any
+    # gain, not only the optimal one: every state dimension n,
+    # measurement dimension m <= n, measurement matrix, SPD prior and
+    # noise, and gain of any scale.
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((m, n))
+    p = random_spd(rng, n)
+    r = random_spd(rng, m)
+    k = 10.0**log_gain * rng.standard_normal((n, m))
     cov = joseph_covariance(p, k, h, r)
     assert np.array_equal(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.trace(cov)

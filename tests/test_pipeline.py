@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -205,6 +209,35 @@ def test_traced_functions_exist():
             owner_name, _, leaf = attribute.rpartition(".")
             owner = vars(module)[owner_name] if owner_name else module
             assert leaf in vars(owner), f"{module_name}.{attribute}"
+
+
+@pytest.mark.parametrize("workload", ["mc-trials", "real-tracks"])
+def test_traced_workloads_call_every_expected_function(
+    synthetic_sequence, tmp_path, monkeypatch, workload
+):
+    # The benchmark's tracer, in a child process as the benchmark runs
+    # it, on this suite's sequence: every function the workload must call
+    # records a call, so a traced benchmark run does not stop with exit 3.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    # run.py imports tracer by its plain name; both leave sys.modules after.
+    for name, path in (("tracer", "tracer.py"), ("_perfbench_run", "run.py")):
+        spec = importlib.util.spec_from_file_location(name, bench / path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    run = sys.modules["_perfbench_run"]
+    args = ["run", "--seq", str(synthetic_sequence.seq_dir), "--out", str(tmp_path / "out")]
+    if workload == "mc-trials":
+        args += ["--trials", "2", "--seed", "101", "--dropout", "real"]
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    traced = subprocess.run(
+        [sys.executable, str(bench / "tracer.py"), str(stats), "--", *args],
+        capture_output=True, text=True, env=env,
+    )
+    assert traced.returncode == 0, traced.stderr
+    calls = {name: count for name, (count, _) in json.loads(stats.read_text())["functions"].items()}
+    assert sorted(name for name in run.WORKLOADS[workload].expected if not calls[name]) == []
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
