@@ -174,7 +174,7 @@ def _load_tracks(cfg: RunConfig) -> dict[int, TrackSequence]:
     if cfg.gt_path is None:
         raise ConfigError("no annotation file: pass --gt or --seq")
     rows = parse_mot_file(cfg.gt_path, "annotation")
-    tracks = build_tracks(rows, cfg.image_size, cfg.class_ids, cfg.min_visibility)
+    tracks = build_tracks(rows, cfg.class_ids, cfg.min_visibility)
     if not tracks:
         raise ConfigError(f"no tracks survive ingestion filters in {cfg.gt_path}")
     if cfg.track_ids is not None:
@@ -220,8 +220,6 @@ def _summary_line(
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if cfg.trials < 0:
-        raise ConfigError(f"run needs --trials >= 0, got {cfg.trials}")
     if cfg.trials == 0 and cfg.det_path is None:
         raise ConfigError(
             "a real-detection run needs a detection file; "

@@ -111,11 +111,24 @@ def _int(raw: str) -> int:
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
-def _seed(raw: str) -> int:
-    value = _int(raw)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    return value
+def _in_range(
+    parse: Callable[[str], Any], ok: Callable[[Any], bool], what: str
+) -> Callable[[str], Any]:
+    """``parse``, then a check that the value is ``what``."""
+
+    def checked(raw: str) -> Any:
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"expected {what}, got {value}")
+        return value
+
+    return checked
+
+
+_count = _in_range(_int, lambda v: v >= 0, "a non-negative integer")
+_size = _in_range(_int, lambda v: v > 0, "a positive integer")
+_positive = _in_range(_float, lambda v: v > 0, "a positive number")
+_fraction = _in_range(_float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -162,19 +175,19 @@ SETTINGS: dict[tuple[str, str], tuple[Callable[[str], Any], str]] = {
     ("filters", "mean_height_m"): (_float, "init.mean_height_m"),
     ("filters", "max_speed_mps"): (_float, "init.max_speed_mps"),
     ("filters", "max_extent_rate_mps"): (_float, "init.max_extent_rate_mps"),
-    ("sim", "trials"): (_int, "trials"),
-    ("sim", "seed"): (_seed, "seed"),
+    ("sim", "trials"): (_count, "trials"),
+    ("sim", "seed"): (_count, "seed"),
     ("sim", "dropout"): (_dropout, "dropout"),
     ("run", "sequence"): (Path, "seq_dir"),
     ("run", "gt"): (Path, "gt_path"),
     ("run", "det"): (Path, "det_path"),
-    ("run", "image_width"): (_int, "image_size.0"),
-    ("run", "image_height"): (_int, "image_size.1"),
-    ("run", "frame_rate"): (_float, "frame_rate"),
-    ("run", "gamma"): (_float, "gamma"),
-    ("run", "guessed_height_m"): (_float, "guessed_height_m"),
+    ("run", "image_width"): (_size, "image_size.0"),
+    ("run", "image_height"): (_size, "image_size.1"),
+    ("run", "frame_rate"): (_positive, "frame_rate"),
+    ("run", "gamma"): (_positive, "gamma"),
+    ("run", "guessed_height_m"): (_positive, "guessed_height_m"),
     ("run", "track_ids"): (lambda raw: _ints(raw) or None, "track_ids"),
-    ("run", "iou_threshold"): (_float, "iou_threshold"),
+    ("run", "iou_threshold"): (_fraction, "iou_threshold"),
     ("run", "class_ids"): (lambda raw: frozenset(_ints(raw)), "class_ids"),
     ("run", "min_visibility"): (_float, "min_visibility"),
     ("run", "output_dir"): (Path, "output_dir"),

@@ -67,7 +67,6 @@ class TrackSequence:
     frames: list[int]
     annotations: list[BoundingBox]
     detections: list[BoundingBox | None] = field(default_factory=list)
-    image_size: tuple[int, int] = (1920, 1080)
     first_frame: int = 0
 
     def __post_init__(self) -> None:
@@ -219,7 +218,6 @@ def detection_rows(
 
 def build_tracks(
     rows: Sequence[MotRow],
-    image_size: tuple[int, int],
     class_ids: frozenset[int] | set[int] = frozenset({1}),
     min_visibility: float = 0.0,
 ) -> dict[int, TrackSequence]:
@@ -253,7 +251,6 @@ def build_tracks(
             object_id=object_id,
             frames=[f - first for f in frames],
             annotations=boxes,
-            image_size=image_size,
             first_frame=first,
         )
     return tracks

@@ -18,9 +18,10 @@ stored at each frame.  Each step of a frame is one call of the filter
 on the stack of its lanes' slots.  Tracks may start, end and miss
 detections at different frames.  A lane's estimates begin at its
 track's first detection; frames with no detection advance by prediction
-only.  A filter that leaves its domain (for example, a sigma point
-falling behind the camera) stops only the lane it belongs to, which
-keeps its estimates up to the frame before; the other lanes go on.
+only.  When a stacked step leaves the filter's domain (for example, a
+sigma point falling behind the camera), each of its lanes retakes the
+step alone; one that fails again stops, keeping its estimates up to the
+frame before, and the other lanes go on.
 Frames that some trial of a track did not reach are excluded from that
 track's metrics and counted as skipped.
 
@@ -235,45 +236,6 @@ class FilterPass:
 # One track's detections: the indices of its frames that have one, and
 # the (M, D, 4) array of its M trials' detections at those D frames.
 Detections = tuple[Sequence[int], np.ndarray]
-_Step = Callable[[GaussianEstimate | None, np.ndarray | None], GaussianEstimate]
-_Stop = Callable[[int, Exception], None]
-
-
-def _advance(
-    step: _Step,
-    est: GaussianEstimate | None,
-    z: np.ndarray | None,
-    lanes: np.ndarray,
-    stop: _Stop,
-) -> tuple[GaussianEstimate | None, np.ndarray]:
-    """One step of some lanes at once: the stacked result and the lanes
-    still live after it.
-
-    ``est`` stacks the lanes' estimates and ``z`` their detections.  If
-    the stacked step stops, each lane takes the step alone: one that
-    stops goes to ``stop`` with its error, and the rest go on with the
-    rows they got alone, which equal their rows of a stacked step.
-    """
-    try:
-        return step(est, z), lanes
-    except _TRACK_STOPPERS:
-        pass
-    kept: list[int] = []
-    results: list[GaussianEstimate] = []
-    for i, lane in enumerate(lanes.tolist()):
-        one = None if est is None else GaussianEstimate(est.mean[i], est.cov[i])
-        try:
-            results.append(step(one, None if z is None else z[i]))
-        except _TRACK_STOPPERS as exc:
-            stop(lane, exc)
-        else:
-            kept.append(i)
-    if not results:
-        return None, lanes[:0]
-    stacked = GaussianEstimate(
-        np.stack([r.mean for r in results]), np.stack([r.cov for r in results])
-    )
-    return stacked, lanes[kept]
 
 
 def run_filter(
@@ -301,13 +263,13 @@ def run_filter(
     (L, n) mean and an (L, n, n) covariance array.  A schedule built once
     per pass says which lanes predict, update, initialize and are stored
     at each frame, and at each frame the steps run in that order.  Each
-    step gathers its lanes' rows (all rows, with no copy, when every lane
-    takes it), makes one filter call on the stack and scatters the rows
-    of the lanes it kept back into their slots, or, for the box step,
-    into the stored rows.  A lane that leaves the filter's domain stops at
-    that frame, alone, and takes no further step; its rows up to the
-    frame before stay.  Each lane's rows are bit for bit those of a run
-    of that lane alone.  Any other error escapes the pass with no run
+    step makes one filter call on its lanes' slots (all of them, with no
+    copy, when every lane takes it) and writes the result into the slots
+    or, for the box step, the stored rows.  If the call leaves the
+    filter's domain, each lane retakes the step alone from its slot; one
+    that fails again stops at that frame, keeping its rows up to the
+    frame before.  Each lane's rows are bit for bit those of a run of
+    that lane alone.  Any other error escapes the pass with no run
     returned.
     """
     spec = FILTERS.get(filter_name)
@@ -373,10 +335,10 @@ def run_filter(
             first.append(int(at[0]))
             last.append(int(at[-1]))
 
-    init: _Step = lambda _, z: spec.init(z, bundle)  # noqa: E731
-    predict: _Step = lambda est, _: spec.predict(est, bundle)  # noqa: E731
-    update: _Step = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
-    box_of: _Step = lambda est, _: spec.box(est, bundle)  # noqa: E731
+    init = lambda _, z: spec.init(z, bundle)  # noqa: E731
+    predict = lambda est, _: spec.predict(est, bundle)  # noqa: E731
+    update = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
+    box_of = lambda est, _: spec.box(est, bundle)  # noqa: E731
     # The schedule: per step, in the order they run at a frame, which
     # lanes take it at each pass frame.
     frame = np.arange(span)[:, None]
@@ -392,30 +354,48 @@ def run_filter(
     alive = np.ones(lanes_total, dtype=bool)
     cursor = np.asarray(base)
 
-    def stop(lane: int, exc: Exception) -> None:
-        alive[lane] = False
-        run, trial = owner[lane]
-        run.stop(trial, int(cursor[lane]) - base[lane], exc)
+    def write(
+        step: Callable[..., GaussianEstimate],
+        est: GaussianEstimate,
+        out: GaussianEstimate,
+        rows: slice | np.ndarray | int,
+    ) -> None:
+        """Store ``step``'s result ``out`` for lanes ``rows``: in their
+        slots or, for the box step, with their slots ``est`` as next rows."""
+        if step is box_of:
+            at = cursor[rows]
+            est.put(store[0], store[1], at)
+            out.put(store[2], store[3], at)
+            cursor[rows] += 1
+        else:
+            out.put(mean, cov, rows)
 
     for t in range(span):
         for step, due in schedule:
             lanes = (due[t] & alive).nonzero()[0]
             if not lanes.size:
                 continue
-            gather = slice(None) if lanes.size == lanes_total else lanes
-            est = None if step is init else GaussianEstimate.take(mean, cov, gather)
-            out, kept = _advance(step, est, z_all[t, gather], lanes, stop)
-            if not kept.size:
-                continue
-            # The rows of the lanes kept: all those gathered unless one stopped.
-            scatter = gather if kept.size == lanes.size else kept
-            if step is box_of:
-                slots = cursor[scatter]
-                GaussianEstimate.take(mean, cov, scatter).put(store[0], store[1], slots)
-                out.put(store[2], store[3], slots)
-                cursor[scatter] += 1
+            rows = slice(None) if lanes.size == lanes_total else lanes
+            est = GaussianEstimate.take(mean, cov, rows)
+            try:
+                out = step(est, z_all[t, rows])
+            except _TRACK_STOPPERS:
+                pass
             else:
-                out.put(mean, cov, scatter)
+                write(step, est, out, rows)
+                continue
+            # Some lane left the filter's domain: each lane retakes the
+            # step alone from its slot, and one that stops again ends there.
+            for lane in lanes.tolist():
+                est = GaussianEstimate.take(mean, cov, lane)
+                try:
+                    out = step(est, z_all[t, lane])
+                except _TRACK_STOPPERS as exc:
+                    alive[lane] = False
+                    run, trial = owner[lane]
+                    run.stop(trial, int(cursor[lane]) - base[lane], exc)
+                else:
+                    write(step, est, out, lane)
     return FilterPass(runs)
 
 

@@ -65,14 +65,13 @@ class SyntheticSequence:
     det_path: Path
     states: np.ndarray
     boxes: np.ndarray
-    image_size: tuple[int, int]
     frame_rate: float
     track_id: int
     name: str
 
     def track(self, with_detections: bool = True) -> TrackSequence:
         rows = parse_mot_file(self.gt_path, "annotation")
-        tracks = build_tracks(rows, self.image_size)
+        tracks = build_tracks(rows)
         if with_detections:
             det_rows = parse_mot_file(self.det_path, "detection")
             attach_detections(tracks, det_rows)
@@ -120,7 +119,6 @@ def write_synthetic_sequence(root: Path) -> SyntheticSequence:
         det_path=det_path,
         states=states,
         boxes=boxes,
-        image_size=IMAGE_SIZE,
         frame_rate=FRAME_RATE,
         track_id=TRACK_ID,
         name=SEQ_NAME,

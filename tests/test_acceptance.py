@@ -199,7 +199,7 @@ def _sequence_semi_annotation_error(seq_dir: Path) -> tuple[float, int]:
     cfg = RunConfig(seq_dir=seq_dir)
     resolve_sequence(cfg)
     rows = parse_mot_file(cfg.gt_path, "annotation")
-    tracks = build_tracks(rows, cfg.image_size)
+    tracks = build_tracks(rows)
     cam = cfg.camera()
     model = build_model_3d(1.0 / cfg.frame_rate, cam, float(min(cfg.image_size)))
     worst = 0.0
@@ -264,19 +264,23 @@ def _mot17_simulation():
     cfg = RunConfig(seq_dir=seq_dir)
     resolve_sequence(cfg)
     rows = parse_mot_file(cfg.gt_path, "annotation")
-    tracks = build_tracks(rows, cfg.image_size)
+    tracks = build_tracks(rows)
     if 2 not in tracks:
         return None
     track = tracks[2]
     bundle = build_bundle(cfg.image_size, cfg.frame_rate)
     sim = SimConfig(200, 20240815, bundle.model2d.R, None)
+    # The trials are drawn once; each filter's time counts the draw, so
+    # the time bounds still cover the simulator.
+    t0 = perf_counter()
+    detections = (list(range(len(track.frames))), simulate_detections(track, sim))
+    draw_s = perf_counter() - t0
     metrics: dict[tuple[str, str], object] = {}
     times: dict[str, float] = {}
     for name in FILTER_NAMES:
         t0 = perf_counter()
-        detections = (list(range(len(track.frames))), simulate_detections(track, sim))
         (result,) = run_track([track], [detections], bundle, (name,), 1.65)
-        times[name] = perf_counter() - t0
+        times[name] = draw_s + perf_counter() - t0
         metrics.update(result.metrics)
     _MOT17_CACHE["metrics"] = metrics
     _MOT17_CACHE["times"] = times

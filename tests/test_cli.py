@@ -175,12 +175,13 @@ def test_run_rejects_negative_trials(synthetic_sequence, tmp_path, capsys):
     # The sequence has a detection file, so a negative count used to fall
     # back to a real-detection run.
     args = ["run"] + seq_args(synthetic_sequence, tmp_path)
+    message = "error: [sim] trials: expected a non-negative integer, got -3\n"
     assert main(args + ["--trials", "-3"]) == 1
-    assert "--trials >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     config = tmp_path / "run.ini"
     config.write_text("[sim]\ntrials = -3\n", encoding="utf-8")
     assert main(args + ["--config", str(config)]) == 1
-    assert "--trials >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 def test_run_rejects_unknown_filter(synthetic_sequence, tmp_path, capsys):
@@ -482,8 +483,13 @@ def _set_field(line: int, field: int, value: str):
 @pytest.mark.parametrize(
     "command,extra,ini,edit,message",
     [
-        ("run", ["--gamma", "-1"], None, None, ""),
-        ("run", ["--image-size", "0x0"], None, None, ""),
+        ("run", ["--gamma", "-1"], None, None, "[run] gamma: "),
+        ("run", ["--image-size", "0x0"], None, None, "[run] image_width: "),
+        ("run", ["--frame-rate", "0"], None, None, "[run] frame_rate: "),
+        ("run", ["--trials", "-1"], None, None, "[sim] trials: "),
+        ("run", ["--iou-threshold", "2"], None, None, "[run] iou_threshold: "),
+        ("run", [], "[run]\niou_threshold = 0\n", None, "[run] iou_threshold: "),
+        ("run", ["--guessed-height", "-1"], None, None, "[run] guessed_height_m: "),
         ("run", [], "[models]\ntau_h = 0\n", None, ""),
         ("run", [], "[models]\nq_x = -1\n", None, ""),
         ("run", [], "[models]\nzeta_r = 0\n", None, ""),
@@ -500,7 +506,8 @@ def _set_field(line: int, field: int, value: str):
         ("run", ["--filter", ","], None, None, "[filters] names: "),
     ],
     ids=[
-        "gamma", "image-size", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row",
+        "gamma", "image-size", "frame-rate", "trials", "iou-above-1", "iou-0",
+        "guessed-height", "tau_h", "q_x", "zeta_r", "mean_height_m", "gt-row",
         "gt-nan-width", "seqinfo-frame-rate-inf", "run-seed", "simulate-seed",
         "no-filters",
     ],
@@ -508,17 +515,18 @@ def _set_field(line: int, field: int, value: str):
 def test_out_of_range_values_exit_1(
     synthetic_sequence, tmp_path, capsys, command, extra, ini, edit, message
 ):
-    # Each value parses, but a record's check or an input file's rejects
-    # it; the command reports that as an error, not a traceback.  An edit
-    # rewrites one file of a copy of the sequence.  A key's own check
-    # names the key.
+    # A key's range check, a record's check or an input file's rejects
+    # each value; the command reports that as an error, not a traceback,
+    # before it writes any output file.  An edit rewrites one file of a
+    # copy of the sequence.  A key's own check names the key.
     seq_dir = synthetic_sequence.seq_dir
     if edit is not None:
         seq_dir = tmp_path / "seq"
         shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
         name, change = edit
         (seq_dir / name).write_text(change((seq_dir / name).read_text()))
-    args = [command, "--seq", str(seq_dir), "--out", str(tmp_path)] + extra
+    out = tmp_path / "out"
+    args = [command, "--seq", str(seq_dir), "--out", str(out)] + extra
     if ini is not None:
         config = tmp_path / "run.ini"
         config.write_text(ini, encoding="utf-8")
@@ -526,6 +534,7 @@ def test_out_of_range_values_exit_1(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_parse_errors_name_their_file(synthetic_sequence, tmp_path, capsys):

@@ -218,7 +218,7 @@ GT_ROWS = [
 
 
 def test_build_tracks_rebases_and_keeps_gaps():
-    tracks = build_tracks(GT_ROWS, (1920, 1080))
+    tracks = build_tracks(GT_ROWS)
     assert sorted(tracks) == [7, 9]
     t7 = tracks[7]
     assert t7.frames == [0, 1, 3] and t7.first_frame == 4
@@ -233,22 +233,22 @@ def test_build_tracks_filters_rows():
         MotRow(6, 11, 1.0, 1.0, 5.0, 5.0, 1.0, 3, 1.0),  # wrong class
         MotRow(6, 12, 1.0, 1.0, 5.0, 5.0, 1.0, 1, 0.0),  # invisible
     ]
-    tracks = build_tracks(rows, (1920, 1080))
+    tracks = build_tracks(rows)
     assert sorted(tracks) == [7, 9]
     assert tracks[7].frames == [0, 1, 3]
 
 
 def test_build_tracks_visibility_threshold():
-    tracks = build_tracks(GT_ROWS, (1920, 1080), min_visibility=0.95)
+    tracks = build_tracks(GT_ROWS, min_visibility=0.95)
     assert sorted(tracks) == [7]
 
 
 def test_build_tracks_rejects_duplicates_and_degenerate_boxes():
     with pytest.raises(ParseError, match="^track 7 has duplicate frames$"):
-        build_tracks(GT_ROWS + [GT_ROWS[0]], (1920, 1080))
+        build_tracks(GT_ROWS + [GT_ROWS[0]])
     bad = [MotRow(1, 1, 0.0, 0.0, 0.0, 10.0, 1.0, 1, 1.0)]
     with pytest.raises(ParseError, match="degenerate annotation box"):
-        build_tracks(bad, (1920, 1080))
+        build_tracks(bad)
 
 
 def test_track_sequence_validation():
@@ -305,7 +305,7 @@ def test_greedy_association_threshold_and_order_independence():
 
 
 def test_attach_detections_end_to_end():
-    tracks = build_tracks(GT_ROWS, (1920, 1080))
+    tracks = build_tracks(GT_ROWS)
     det_rows = [
         MotRow(4, -1, 11.0, 21.0, 30.0, 60.0, 0.9),  # near track 7 frame 4
         MotRow(4, -1, 499.0, 401.0, 40.0, 80.0, 0.8),  # near track 9 frame 4

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from monotrack import pipeline
+from monotrack.cli import main
 from monotrack.dataio import BoundingBox, TrackSequence
 from monotrack.exceptions import ConfigError
 from monotrack.filters import GaussianEstimate, kf_predict, kf_update, ukf_predict
@@ -211,13 +212,14 @@ def test_traced_functions_exist():
             assert leaf in vars(owner), f"{module_name}.{attribute}"
 
 
-@pytest.mark.parametrize("workload", ["mc-trials", "real-tracks"])
+@pytest.mark.parametrize("workload", ["mc-trials", "real-tracks", "mc-evaluate"])
 def test_traced_workloads_call_every_expected_function(
     synthetic_sequence, tmp_path, monkeypatch, workload
 ):
     # The benchmark's tracer, in a child process as the benchmark runs
     # it, on this suite's sequence: every function the workload must call
     # records a call, so a traced benchmark run does not stop with exit 3.
+    # mc-evaluate scores again a 3D estimates file that a run wrote.
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     # run.py imports tracer by its plain name; both leave sys.modules after.
     for name, path in (("tracer", "tracer.py"), ("_perfbench_run", "run.py")):
@@ -226,9 +228,15 @@ def test_traced_workloads_call_every_expected_function(
         monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
     run = sys.modules["_perfbench_run"]
-    args = ["run", "--seq", str(synthetic_sequence.seq_dir), "--out", str(tmp_path / "out")]
-    if workload == "mc-trials":
+    out = tmp_path / "out"
+    seq = ["--seq", str(synthetic_sequence.seq_dir), "--out", str(out)]
+    args = ["run", *seq]
+    if workload != "real-tracks":
         args += ["--trials", "2", "--seed", "101", "--dropout", "real"]
+    if workload == "mc-evaluate":
+        assert main(args + ["--filter", "ukf3d"]) == 0
+        estimates = out / f"{synthetic_sequence.name}_id1_ukf3d_estimates_3d.csv"
+        args = ["evaluate", *seq, "--track-id", "1", "--estimates", str(estimates)]
     stats = tmp_path / "stats.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     traced = subprocess.run(
