@@ -2,10 +2,12 @@
 
 Subcommands:
 
-* ``run``      - filter tracks with real or simulated detections, write
-                 estimate and metric CSVs.
+* ``run``      - filter tracks with real or simulated detections: one
+                 ``pipeline.run_track`` call per group of tracks, which
+                 writes their estimate and metric CSVs.
 * ``simulate`` - write Monte Carlo detection files around the annotations.
-* ``evaluate`` - recompute metrics from a previously written estimates CSV.
+* ``evaluate`` - recompute metrics from an estimates CSV that ``run`` wrote,
+                 read back with ``pipeline.read_estimates_csv``.
 * ``inspect``  - summarize the parsed tracks of a sequence.
 
 Exit codes: 0 on success, 1 on usage, configuration or IO errors, 2 when
@@ -21,8 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from array import array
-from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
 
@@ -32,8 +32,6 @@ from typing import NoReturn
 # 170 ms with the default pool against about 100 ms with one thread.  It
 # must be set before numpy loads; a value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .config import (
     OUTPUT_DIR_ENV,
@@ -52,19 +50,16 @@ from .dataio import (
     parse_mot_file,
     write_mot_file,
 )
-from .exceptions import ConfigError, EstimationError, ParseError
-from .metrics import EvalSeries, TrialStack
+from .exceptions import ConfigError, EstimationError
+from .metrics import EvalSeries
 from .pipeline import (
-    SPACES,
     Detections,
     ModelBundle,
-    TrackResult,
+    read_estimates_csv,
     real_detections,
     run_track,
     score_trials,
     write_metrics_csv,
-    write_run_estimates,
-    write_track_outputs,
 )
 from .sim import SimConfig, simulate_detections
 
@@ -233,19 +228,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     n_failures = 0
     for group in groups:
         detections = [_detections(cfg, track, bundle) for track in group]
-        results = [TrackResult(track, {}, {}, 0) for track in group]
-        for name in cfg.filters:
-            passed = run_track(group, detections, bundle, (name,), cfg.guessed_height_m)
-            for result, one in zip(results, passed):
-                # Write the pass's estimates as it ends; popping its runs
-                # drops it before the next pass runs.
-                write_run_estimates(
-                    cfg.output_dir, cfg.seq_name, one.track, one.runs.pop(name)
-                )
-                result.metrics.update(one.metrics)
-                result.n_failures += one.n_failures
-        for result in results:
-            write_track_outputs(cfg.output_dir, cfg.seq_name, result)
+        for result in run_track(
+            group, detections, bundle, cfg.filters, cfg.guessed_height_m,
+            cfg.output_dir, cfg.seq_name,
+        ):
             n_failures += result.n_failures
             for (name, space), series in sorted(result.metrics.items()):
                 label = f"{cfg.seq_name} id{result.track.object_id} {name} {space}"
@@ -282,76 +268,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
-    """Read back an estimates CSV: its space and its trials' stack.
-
-    The space is the one whose state names the header's ``mean_``
-    columns give, and every row must be tagged with it.  The trials with
-    rows are stacked in trial order; a file with no rows gives a stack of
-    no trials.  Each trial's frames must begin the frames of the longest,
-    as a run writes them.  Every value must be finite, as a run writes it.
-    """
-    frames: list[int] = []
-    by_trial: dict[int, list[int]] = {}
-    values = array("d")
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = (text for text in map(str.strip, handle) if text)
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(1, "empty estimates file", path)
-        header = first.split(",")
-        mean_cols = [i for i, name in enumerate(header) if name.startswith("mean_")]
-        cov_cols = [i for i, name in enumerate(header) if name.startswith("cov_")]
-        n = len(mean_cols)
-        names = tuple(header[i][len("mean_") :] for i in mean_cols)
-        space = next((s for s, spec in SPACES.items() if spec.names == names), None)
-        if space is None or len(cov_cols) != n * (n + 1) // 2:
-            raise ParseError(1, f"unrecognized estimates header: {first}", path)
-        missing = [name for name in ("trial", "k", "space") if name not in header]
-        if missing:
-            raise ParseError(1, f"estimates header lacks the columns {missing}", path)
-        trial_col, k_col, space_col = map(header.index, ("trial", "k", "space"))
-        pick_values = itemgetter(*mean_cols, *cov_cols)
-        for lineno, line in enumerate(lines, start=2):
-            fields = line.split(",")
-            if len(fields) != len(header):
-                raise ParseError(
-                    lineno, f"expected {len(header)} fields, got {len(fields)}", path
-                )
-            if fields[space_col] != space:
-                tag = fields[space_col]
-                raise ParseError(lineno, f"space {tag!r} in a {space} file", path)
-            try:
-                trial = int(fields[trial_col])
-                k = int(fields[k_col])
-                values.extend(map(float, pick_values(fields)))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc), path) from exc
-            by_trial.setdefault(trial, []).append(len(frames))
-            frames.append(k)
-    table = np.frombuffer(values, dtype=float).reshape(len(frames), n + len(cov_cols))
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ParseError(
-            int(row) + 2, f"not a finite number: {str(table[row, col])!r}", path
-        )
-    trial_rows = [rows for _, rows in sorted(by_trial.items())]
-    longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
-    if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
-        raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
-    upper = np.triu_indices(n)
-    means = np.zeros((len(trial_rows), len(longest), n))
-    covs = np.zeros((len(trial_rows), len(longest), n, n))
-    for t, rows in enumerate(trial_rows):
-        means[t, : len(rows)] = table[rows, :n]
-        block = covs[t, : len(rows)]
-        block[:, upper[0], upper[1]] = table[rows, n:]
-        block[:, upper[1], upper[0]] = table[rows, n:]
-    ends = np.array([len(rows) for rows in trial_rows], dtype=int)
-    return space, TrialStack(longest, means, covs, ends)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     tracks = _load_tracks(cfg)
@@ -361,7 +277,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     track = next(iter(tracks.values()))
     estimates_path = Path(args.estimates)
-    space, stack = _read_estimates_csv(estimates_path)
+    space, stack = read_estimates_csv(estimates_path)
     series = score_trials(track, space, stack, cfg.camera(), cfg.guessed_height_m)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.output_dir / f"{estimates_path.stem}_metrics.csv"

@@ -240,7 +240,11 @@ def apply_config_file(cfg: RunConfig, file_cfg: dict[str, dict[str, str]]) -> No
 
 
 def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, str]:
-    """Image size, frame rate and name from a sequence's seqinfo.ini."""
+    """Image size, frame rate and name from a sequence's seqinfo.ini.
+
+    A size or frame rate that is not a positive number raises
+    ``ConfigError`` naming the file and the key.
+    """
     name = seq_dir.name
     info = seq_dir / "seqinfo.ini"
     if not info.is_file():
@@ -253,11 +257,15 @@ def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, s
     section = parser["Sequence"] if parser.has_section("Sequence") else {}
     if "name" in section:
         name = section["name"]
+
+    def read(key: str, parse: Callable[[str], Any]) -> Any:
+        with _invalid(f"malformed {info}: {key}"):
+            return parse(section[key])
+
     size = None
-    with _invalid(f"malformed {info}"):
-        if "imwidth" in section and "imheight" in section:
-            size = (_int(section["imwidth"]), _int(section["imheight"]))
-        rate = _float(section["framerate"]) if "framerate" in section else None
+    if "imWidth" in section and "imHeight" in section:
+        size = (read("imWidth", _size), read("imHeight", _size))
+    rate = read("frameRate", _positive) if "frameRate" in section else None
     return size, rate, name
 
 

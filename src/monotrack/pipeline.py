@@ -26,13 +26,16 @@ Frames that some trial of a track did not reach are excluded from that
 track's metrics and counted as skipped.
 
 Any other error escapes the pass and ends the run; the files written
-before it stay.  Each filter's estimates files are written as its pass
-ends, and the metrics and summary files once every pass of a group has
-run.
+before it stay.  ``run_track`` runs a group: it scores each filter's
+pass and writes its estimates files as the pass ends, and the metrics
+and summary files once every pass of the group has run.  The estimates
+format is defined here once, for ``write_estimates_csv`` and
+``read_estimates_csv`` alike.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -47,6 +50,7 @@ from .exceptions import (
     DimensionMismatch,
     FunctionDomainError,
     InvalidEstimate,
+    ParseError,
     SingularInnovation,
 )
 from .filters import (
@@ -408,10 +412,10 @@ def real_detections(track: TrackSequence) -> Detections:
 
 @dataclass
 class TrackResult:
-    """All runs and metrics of one track."""
+    """The metrics of one track, per (filter, space), and its count of
+    stopped lanes."""
 
     track: TrackSequence
-    runs: dict[str, FilterRun]
     metrics: dict[tuple[str, str], tuple[EvalSeries, EvalSeries]]
     n_failures: int
 
@@ -467,23 +471,55 @@ def run_track(
     bundle: ModelBundle,
     filter_names: tuple[str, ...],
     guessed_height_m: float,
+    out_dir: Path,
+    seq_name: str,
 ) -> list[TrackResult]:
-    """Run the selected filters over a group of tracks and score them.
+    """Run the selected filters over a group of tracks, score them and
+    write their files to ``out_dir``.
 
     ``detections`` holds each track's detections, real or simulated, as
     ``run_filter`` takes them.  Each filter makes one pass over every
-    lane.  The result holds one ``TrackResult`` per track, in their order.
+    lane; its runs are scored, then their estimates files written, and
+    the pass is dropped before the next one runs, so the group holds one
+    filter's estimates at a time.  The metrics and summary files of each
+    track follow the last pass.  The result holds one ``TrackResult`` per
+    track, in their order.
     """
-    results = [TrackResult(track, {}, {}, 0) for track in tracks]
+    results = [TrackResult(track, {}, 0) for track in tracks]
+    stems = [f"{seq_name}_id{track.object_id}" for track in tracks]
     for name in filter_names:
-        for result, run in zip(results, run_filter(tracks, detections, bundle, name).runs):
-            result.runs[name] = run
+        passed = run_filter(tracks, detections, bundle, name)
+        for result, run in zip(results, passed.runs):
             result.n_failures += sum(f is not None for f in run.failures)
             for space, series_pair in evaluate_runs(
                 result.track, run, bundle, guessed_height_m
             ).items():
                 result.metrics[(name, space)] = series_pair
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for stem, result, run in zip(stems, results, passed.runs):
+            for space in (FILTERS[name].space, "bb"):
+                path = out_dir / f"{stem}_{name}_estimates_{space}.csv"
+                write_estimates_csv(path, result.track, run.estimates(space), space)
+        # Drop the pass before the next one runs.
+        passed = run = None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem, result in zip(stems, results):
+        for (name, space), series_pair in sorted(result.metrics.items()):
+            write_metrics_csv(out_dir / f"{stem}_{name}_metrics_{space}.csv", *series_pair)
+        write_summary_csv(out_dir / f"{stem}_summary.csv", result)
     return results
+
+
+def _estimates_header(space: str) -> str:
+    """The header line of an estimates file of ``space``: trial, k, frame
+    and space, then the mean and the row-major upper-triangle covariance."""
+    names = SPACES[space].names
+    n = len(names)
+    return ",".join(
+        ["trial", "k", "frame", "space"]
+        + [f"mean_{name}" for name in names]
+        + [f"cov_{i}_{j}" for i in range(n) for j in range(i, n)]
+    )
 
 
 def write_estimates_csv(
@@ -494,16 +530,9 @@ def write_estimates_csv(
     Rows are formatted and written one trial at a time, so the text in
     memory stays bounded by the longest trial.
     """
-    names = SPACES[space].names
-    n = len(names)
-    upper = np.triu_indices(n)
-    header = (
-        ["trial", "k", "frame", "space"]
-        + [f"mean_{name}" for name in names]
-        + [f"cov_{i}_{j}" for i in range(n) for j in range(i, n)]
-    )
+    upper = np.triu_indices(len(SPACES[space].names))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(_estimates_header(space) + "\n")
         for trial, end in enumerate(stack.ends.tolist()):
             if not end:
                 continue
@@ -516,6 +545,65 @@ def write_estimates_csv(
                 f"{format_floats(row)}\n"
                 for frame, row in zip(stack.frames, values.tolist())
             )
+
+
+def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
+    """Read back an estimates CSV: its space and its trials' stack.
+
+    The header must be the one ``write_estimates_csv`` writes for some
+    space, and every row must be tagged with that space.  The trials with
+    rows are stacked in trial order; a file with no rows gives a stack of
+    no trials.  Each trial's frames must begin the frames of the longest,
+    as a run writes them.  Every value must be finite, as a run writes it.
+    """
+    frames: list[int] = []
+    by_trial: dict[int, list[int]] = {}
+    values = array("d")
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = (text for text in map(str.strip, handle) if text)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(1, "empty estimates file", path)
+        space = next((s for s in SPACES if _estimates_header(s) == first), None)
+        if space is None:
+            raise ParseError(1, f"unrecognized estimates header: {first}", path)
+        n = len(SPACES[space].names)
+        width = len(first.split(","))
+        for lineno, line in enumerate(lines, start=2):
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ParseError(lineno, f"expected {width} fields, got {len(fields)}", path)
+            if fields[3] != space:
+                raise ParseError(lineno, f"space {fields[3]!r} in a {space} file", path)
+            try:
+                trial = int(fields[0])
+                k = int(fields[1])
+                values.extend(map(float, fields[4:]))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc), path) from exc
+            by_trial.setdefault(trial, []).append(len(frames))
+            frames.append(k)
+    table = np.frombuffer(values, dtype=float).reshape(len(frames), width - 4)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            int(row) + 2, f"not a finite number: {str(table[row, col])!r}", path
+        )
+    trial_rows = [rows for _, rows in sorted(by_trial.items())]
+    longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
+    if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
+        raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
+    upper = np.triu_indices(n)
+    means = np.zeros((len(trial_rows), len(longest), n))
+    covs = np.zeros((len(trial_rows), len(longest), n, n))
+    for t, rows in enumerate(trial_rows):
+        means[t, : len(rows)] = table[rows, :n]
+        block = covs[t, : len(rows)]
+        block[:, upper[0], upper[1]] = table[rows, n:]
+        block[:, upper[1], upper[0]] = table[rows, n:]
+    ends = np.array([len(rows) for rows in trial_rows], dtype=int)
+    return space, TrialStack(longest, means, covs, ends)
 
 
 def write_metrics_csv(
@@ -546,38 +634,3 @@ def write_summary_csv(path: Path, result: TrackResult) -> None:
                 f"{format_float(anees_series.median)},{len(rmse_series.frames)},"
                 f"{rmse_series.n_skipped},{rmse_series.n_trials}\n"
             )
-
-
-def write_run_estimates(
-    out_dir: Path, seq_name: str, track: TrackSequence, run: FilterRun
-) -> list[Path]:
-    """Write one filter run's estimates files, in its native space and in
-    box space; returns their paths."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for space in (FILTERS[run.filter_name].space, "bb"):
-        path = (
-            out_dir
-            / f"{seq_name}_id{track.object_id}_{run.filter_name}_estimates_{space}.csv"
-        )
-        write_estimates_csv(path, track, run.estimates(space), space)
-        written.append(path)
-    return written
-
-
-def write_track_outputs(
-    out_dir: Path, seq_name: str, result: TrackResult
-) -> list[Path]:
-    """Write the metrics and summary files of one track's result; returns
-    their paths.  ``write_run_estimates`` writes each run's estimates."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{seq_name}_id{result.track.object_id}"
-    written: list[Path] = []
-    for (name, space), (rmse_series, anees_series) in sorted(result.metrics.items()):
-        path = out_dir / f"{stem}_{name}_metrics_{space}.csv"
-        write_metrics_csv(path, rmse_series, anees_series)
-        written.append(path)
-    path = out_dir / f"{stem}_summary.csv"
-    write_summary_csv(path, result)
-    written.append(path)
-    return written

@@ -78,15 +78,17 @@ class SyntheticSequence:
         return tracks[self.track_id]
 
 
-def write_synthetic_sequence(root: Path) -> SyntheticSequence:
+def write_synthetic_sequence(
+    root: Path, name: str = SEQ_NAME, track_id: int = TRACK_ID
+) -> SyntheticSequence:
     states = synthetic_truth()
     boxes = truth_boxes(states)
-    seq_dir = root / SEQ_NAME
+    seq_dir = root / name
     (seq_dir / "gt").mkdir(parents=True)
     (seq_dir / "det").mkdir(parents=True)
     (seq_dir / "seqinfo.ini").write_text(
         "[Sequence]\n"
-        f"name={SEQ_NAME}\n"
+        f"name={name}\n"
         f"imWidth={IMAGE_SIZE[0]}\n"
         f"imHeight={IMAGE_SIZE[1]}\n"
         f"frameRate={FRAME_RATE:g}\n",
@@ -95,7 +97,7 @@ def write_synthetic_sequence(root: Path) -> SyntheticSequence:
     gt_rows = []
     for k, box in enumerate(boxes):
         left, top, width, height = to_top_left(BoundingBox(*box))
-        gt_rows.append(MotRow(k + 1, TRACK_ID, left, top, width, height, 1.0, 1, 1.0))
+        gt_rows.append(MotRow(k + 1, track_id, left, top, width, height, 1.0, 1, 1.0))
     gt_path = seq_dir / "gt" / "gt.txt"
     write_mot_file(gt_path, gt_rows, "annotation")
 
@@ -120,8 +122,8 @@ def write_synthetic_sequence(root: Path) -> SyntheticSequence:
         states=states,
         boxes=boxes,
         frame_rate=FRAME_RATE,
-        track_id=TRACK_ID,
-        name=SEQ_NAME,
+        track_id=track_id,
+        name=name,
     )
 
 

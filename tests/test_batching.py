@@ -353,13 +353,15 @@ def test_multi_track_pass_matches_lone_passes(name):
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
-def test_multi_track_run_track_scores_each_track_alone(name):
+def test_multi_track_run_track_scores_each_track_alone(tmp_path, name):
     tracks = hand_tracks()
     detections = [real_detections(track) for track in tracks]
-    results = run_track(tracks, detections, BUNDLE, (name,), 1.65)
+    group = tmp_path / "group"
+    results = run_track(tracks, detections, BUNDLE, (name,), 1.65, group, "HAND")
     assert [result.track for result in results] == tracks
     for track, one, result in zip(tracks, detections, results):
-        (lone,) = run_track([track], [one], BUNDLE, (name,), 1.65)
+        alone = tmp_path / f"id{track.object_id}"
+        (lone,) = run_track([track], [one], BUNDLE, (name,), 1.65, alone, "HAND")
         assert result.n_failures == lone.n_failures
         assert result.metrics.keys() == lone.metrics.keys()
         for key, series_pair in lone.metrics.items():
@@ -369,3 +371,10 @@ def test_multi_track_run_track_scores_each_track_alone(name):
                 assert (mine.space, mine.n_trials, mine.n_skipped) == (
                     ref.space, ref.n_trials, ref.n_skipped
                 )
+        # The group writes each track's files as its lone run does.
+        written = sorted(path.name for path in alone.iterdir())
+        assert written == sorted(
+            path.name for path in group.glob(f"HAND_id{track.object_id}_*")
+        )
+        for file_name in written:
+            assert (group / file_name).read_bytes() == (alone / file_name).read_bytes()

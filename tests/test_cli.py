@@ -354,6 +354,7 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         ("trial,k,frame,space", ["0,0,1,bb", "0,1,2,bb", "1,1,2,bb"]),
         ("trial,k,frame,space", ["0,500,501,bb"]),
         ("trial,k,frame,space", ["0,0,1,bb", ("0,1,2,bb", _BB_VALUES.replace("900", "nan"))]),
+        ("trial,k,space", ["0,0,bb"]),
     ],
     ids=[
         "no-space-column",
@@ -365,6 +366,7 @@ _BB_VALUES = "900,600,80,160," + ",".join(
         "trial-starts-late",
         "frame-not-in-track",
         "non-finite-value",
+        "no-frame-column",
     ],
 )
 def test_evaluate_rejects_malformed_estimates(
@@ -534,6 +536,26 @@ def test_out_of_range_values_exit_1(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inspect", "run"])
+@pytest.mark.parametrize(
+    "key,value", [("frameRate", "0"), ("frameRate", "-5"), ("imWidth", "0")]
+)
+def test_out_of_range_seqinfo_values_exit_1(
+    synthetic_sequence, tmp_path, capsys, command, key, value
+):
+    # seqinfo.ini's size and frame rate are range-checked as the file is
+    # read: the error names the file and the key, and no output is made.
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
+    info = seq_dir / "seqinfo.ini"
+    info.write_text(re.sub(rf"{key}=\S+", f"{key}={value}", info.read_text()))
+    out = tmp_path / "out"
+    assert main([command, "--seq", str(seq_dir), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {info}: {key}: expected a positive ")
     assert not out.exists()
 
 

@@ -9,9 +9,11 @@ medians below were checked to be stable across seeds before freezing
 
 from __future__ import annotations
 
+import gc
 import importlib
 import importlib.util
 import json
+import weakref
 import os
 import subprocess
 import sys
@@ -33,12 +35,11 @@ from monotrack.pipeline import (
     FILTER_NAMES,
     build_bundle,
     evaluate_runs,
+    read_estimates_csv,
     real_detections,
     run_filter,
     run_track,
     write_estimates_csv,
-    write_run_estimates,
-    write_track_outputs,
 )
 from monotrack.sim import SimConfig, simulate_detections
 
@@ -148,7 +149,7 @@ def test_annotation_gaps_advance_by_one_step_per_frame():
     assert run.native.covs[0, 2] == pytest.approx(expected.cov, rel=1e-15)
 
 
-def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
+def test_init_failure_stops_track_and_is_counted(tmp_path, synthetic_bundle):
     # A first box much shorter than the detector-noise spread throws the
     # 3D initialization out of its domain: either a denoised box height
     # or a projected sigma point ends up at a non-positive depth.
@@ -161,16 +162,17 @@ def test_init_failure_stops_track_and_is_counted(synthetic_bundle):
     assert run.ends.tolist() == [0]
 
     (result,) = run_track(
-        [track], [real_detections(track)], synthetic_bundle, ("kf2d", "ukf3d"), 1.65
+        [track], [real_detections(track)], synthetic_bundle, ("kf2d", "ukf3d"), 1.65,
+        tmp_path, "SYN-01",
     )
     assert result.n_failures == 1
-    assert result.runs["kf2d"].failure is None
+    assert len(result.metrics[("kf2d", "bb")][0].frames) == 4
     # The failed filter contributes an empty series, not a crash.
     rmse_series, anees_series = result.metrics[("ukf3d", "bb")]
     assert rmse_series.frames == () and np.isnan(anees_series.median)
 
 
-def test_invalid_estimate_stops_only_that_trial(synthetic_bundle):
+def test_invalid_estimate_stops_only_that_trial(tmp_path, synthetic_bundle):
     # A box so wide that the baseline's extent-scaled noise overflows:
     # the invalid estimate ends the bot run, the other filter carries on.
     box = BoundingBox(900.0, 600.0, 1e200, 160.0)
@@ -178,11 +180,12 @@ def test_invalid_estimate_stops_only_that_trial(synthetic_bundle):
     track.detections = [box] * 3
     with np.errstate(over="ignore"):
         (result,) = run_track(
-            [track], [real_detections(track)], synthetic_bundle, ("kf2d", "bot"), 1.65
+            [track], [real_detections(track)], synthetic_bundle, ("kf2d", "bot"), 1.65,
+            tmp_path, "SYN-01",
         )
+        failure = real_run(track, synthetic_bundle, "bot").failure
     assert result.n_failures == 1
-    assert result.runs["kf2d"].failure is None
-    failure = result.runs["bot"].failure
+    assert len(result.metrics[("kf2d", "bb")][0].frames) == 3
     assert failure == "InvalidEstimate: estimate has non-finite entries"
 
 
@@ -274,14 +277,14 @@ def test_filter_steps_call_rebound_module_names(monkeypatch, name):
 # ---------------------------------------------------------------- run_track
 
 
-def test_run_track_real_detections(synthetic_sequence, synthetic_bundle):
+def test_run_track_real_detections(tmp_path, synthetic_sequence, synthetic_bundle):
     track = synthetic_sequence.track()
     (result,) = run_track(
-        [track], [real_detections(track)], synthetic_bundle, FILTER_NAMES, 1.65
+        [track], [real_detections(track)], synthetic_bundle, FILTER_NAMES, 1.65,
+        tmp_path, "SYN-01",
     )
     assert result.n_failures == 0
-    assert set(result.runs) == set(FILTER_NAMES)
-    assert all(len(run.failures) == 1 for run in result.runs.values())
+    assert {name for name, _ in result.metrics} == set(FILTER_NAMES)
     spaces = {space for _, space in result.metrics}
     assert spaces == {"bb", "3d"}
     for (name, space), (rmse_series, anees_series) in result.metrics.items():
@@ -291,14 +294,42 @@ def test_run_track_real_detections(synthetic_sequence, synthetic_bundle):
         assert np.isfinite(anees_series.median)
 
 
-def test_run_track_simulated_consistency(synthetic_sequence, synthetic_bundle):
+def test_run_track_drops_each_pass_before_the_next(
+    monkeypatch, tmp_path, synthetic_sequence, synthetic_bundle
+):
+    # A group holds one filter's estimates at a time: when a pass starts,
+    # every run of the passes before it has been freed.
+    original = pipeline.run_filter
+    earlier: list[weakref.ref] = []
+    alive_at_start: list[int] = []
+
+    def recording(*args):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in earlier))
+        passed = original(*args)
+        earlier.extend(weakref.ref(run) for run in passed.runs)
+        return passed
+
+    monkeypatch.setattr(pipeline, "run_filter", recording)
+    track = synthetic_sequence.track()
+    run_track(
+        [track], [real_detections(track)], synthetic_bundle, FILTER_NAMES, 1.65,
+        tmp_path, "SYN-01",
+    )
+    assert len(earlier) == len(FILTER_NAMES)
+    assert alive_at_start == [0] * len(FILTER_NAMES)
+
+
+def test_run_track_simulated_consistency(tmp_path, synthetic_sequence, synthetic_bundle):
     # Model-matched truth, detector-matched noise: the 3D filter must be
     # near-consistent in box space, the linear filter mildly
     # overconfident, the heuristic pessimistic -- and the 3D filter's
     # boxes at least as accurate as the linear filter's.
     track = synthetic_sequence.track()
     detections = simulated(track, 40, 1, synthetic_bundle)
-    (result,) = run_track([track], [detections], synthetic_bundle, FILTER_NAMES, 1.65)
+    (result,) = run_track(
+        [track], [detections], synthetic_bundle, FILTER_NAMES, 1.65, tmp_path, "SYN-01"
+    )
     assert result.n_failures == 0
     anees_bb = {
         name: result.metrics[(name, "bb")][1].median for name in FILTER_NAMES
@@ -311,15 +342,14 @@ def test_run_track_simulated_consistency(synthetic_sequence, synthetic_bundle):
     assert rmse_bb["ukf3d"] <= rmse_bb["kf2d"]
     # Camera-space consistency against the semi-annotations.
     assert 0.5 < result.metrics[("ukf3d", "3d")][1].median < 1.25
-    for run in result.runs.values():
-        assert len(run.failures) == 40
-    assert result.metrics[("kf2d", "bb")][0].n_trials == 40
+    assert all(rmse.n_trials == 40 for rmse, _ in result.metrics.values())
 
 
 def test_synthetic_headline_replay(synthetic_bundle):
     # The headline experiment's shape on model-drawn truth: one 600-frame
     # track, 200 trials, each filter timed alone as criteria 6-7 time it,
-    # with the one draw of the trials counted in each filter's time.
+    # with the one draw of the trials counted in each filter's time.  The
+    # passes are scored without writing their 300 MB of estimates.
     # An extra check beside criteria 6-8, which need MOT-17.  Criterion
     # 7's ordering kf2d > ukf3d > bot is not asserted: on truth drawn
     # from the 3D model the baseline is overconfident, not pessimistic.
@@ -335,10 +365,11 @@ def test_synthetic_headline_replay(synthetic_bundle):
     times = {}
     for name in FILTER_NAMES:
         t0 = perf_counter()
-        (result,) = run_track([track], [detections], synthetic_bundle, (name,), 1.65)
+        (run,) = run_filter([track], [detections], synthetic_bundle, name).runs
+        for space, series_pair in evaluate_runs(track, run, synthetic_bundle, 1.65).items():
+            metrics[(name, space)] = series_pair
         times[name] = draw_s + perf_counter() - t0
-        assert result.n_failures == 0
-        metrics.update(result.metrics)
+        assert run.failure is None
     anees_bb = {name: metrics[(name, "bb")][1].median for name in FILTER_NAMES}
     rmse_bb = {name: metrics[(name, "bb")][0].median for name in FILTER_NAMES}
     assert 0.80 <= anees_bb["ukf3d"] <= 1.25, anees_bb
@@ -367,15 +398,11 @@ def test_evaluate_runs_keeps_trial_count_constant(synthetic_bundle):
 
 def test_write_track_outputs_layout(tmp_path, synthetic_sequence, synthetic_bundle):
     track = synthetic_sequence.track()
-    (result,) = run_track(
-        [track], [real_detections(track)], synthetic_bundle, FILTER_NAMES, 1.65
+    run_track(
+        [track], [real_detections(track)], synthetic_bundle, FILTER_NAMES, 1.65,
+        tmp_path, "SYN-01",
     )
-    written = [
-        path
-        for run in result.runs.values()
-        for path in write_run_estimates(tmp_path, "SYN-01", track, run)
-    ]
-    written += write_track_outputs(tmp_path, "SYN-01", result)
+    written = sorted(tmp_path.iterdir())
     names = {path.name for path in written}
     assert names == {
         "SYN-01_id1_kf2d_estimates_2d.csv",
@@ -403,16 +430,13 @@ def test_write_track_outputs_layout(tmp_path, synthetic_sequence, synthetic_bund
 def test_estimates_csv_round_trips_exactly(
     tmp_path, synthetic_sequence, synthetic_bundle
 ):
-    from monotrack.cli import _read_estimates_csv
-
     track = synthetic_sequence.track()
     detections = simulated(track, 3, 5, synthetic_bundle, dropout=False)
-    (result,) = run_track([track], [detections], synthetic_bundle, ("ukf3d",), 1.65)
-    run = result.runs["ukf3d"]
-    write_run_estimates(tmp_path, "SYN-01", track, run)
-    space, stack = _read_estimates_csv(
-        tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv"
+    run_track(
+        [track], [detections], synthetic_bundle, ("ukf3d",), 1.65, tmp_path, "SYN-01"
     )
+    (run,) = run_filter([track], [detections], synthetic_bundle, "ukf3d").runs
+    space, stack = read_estimates_csv(tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv")
     assert space == "3d"
     assert stack.frames == run.frames
     assert np.array_equal(stack.ends, run.ends)
@@ -423,8 +447,6 @@ def test_estimates_csv_round_trips_exactly(
 def test_estimates_csv_round_trips_awkward_values(tmp_path):
     # Values whose shortest decimal is an exponent form in repr (tiny,
     # subnormal, >= 1e16), negative zero, and integral values.
-    from monotrack.cli import _read_estimates_csv
-
     means = [
         np.array([-0.0, 1e16, 5e-324, 123.0]),
         np.array([1e-5, -2.5e-300, 0.1, 1.7976931348623157e308]),
@@ -455,7 +477,7 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1].startswith("0,0,7,bb,-0,10000000000000000,0.0000")
     assert len(lines) == 1 + 3 and lines[3].startswith("2,0,7,bb,")
-    space, read = _read_estimates_csv(path)
+    space, read = read_estimates_csv(path)
     assert space == "bb"
     assert read.frames == [0, 3] and read.ends.tolist() == [2, 1]
     expected = [[0, 1], [1]]
@@ -473,10 +495,10 @@ def test_outputs_are_deterministic(tmp_path, synthetic_sequence, synthetic_bundl
     track = synthetic_sequence.track()
     for sub in ("a", "b"):
         detections = simulated(track, 3, 5, synthetic_bundle)
-        (result,) = run_track([track], [detections], synthetic_bundle, FILTER_NAMES, 1.65)
-        for run in result.runs.values():
-            write_run_estimates(tmp_path / sub, "SYN-01", track, run)
-        write_track_outputs(tmp_path / sub, "SYN-01", result)
+        run_track(
+            [track], [detections], synthetic_bundle, FILTER_NAMES, 1.65,
+            tmp_path / sub, "SYN-01",
+        )
     files_a = sorted((tmp_path / "a").iterdir())
     files_b = sorted((tmp_path / "b").iterdir())
     assert [p.name for p in files_a] == [p.name for p in files_b]
