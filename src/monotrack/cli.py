@@ -7,7 +7,9 @@ Subcommands:
                  writes their estimate and metric CSVs.
 * ``simulate`` - write Monte Carlo detection files around the annotations.
 * ``evaluate`` - recompute metrics from an estimates CSV that ``run`` wrote,
-                 read back with ``pipeline.read_estimates_csv``.
+                 read back with ``pipeline.read_estimates_csv``, against
+                 the annotations alone: it ignores ``--det`` and
+                 ``[run] det``.
 * ``inspect``  - summarize the parsed tracks of a sequence.
 
 Exit codes: 0 on success, 1 on usage, configuration or IO errors, 2 when
@@ -165,7 +167,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_tracks(cfg: RunConfig) -> dict[int, TrackSequence]:
+def _load_annotations(cfg: RunConfig) -> dict[int, TrackSequence]:
+    """The annotated tracks that survive ingestion, limited to ``track_ids``."""
     if cfg.gt_path is None:
         raise ConfigError("no annotation file: pass --gt or --seq")
     rows = parse_mot_file(cfg.gt_path, "annotation")
@@ -179,6 +182,12 @@ def _load_tracks(cfg: RunConfig) -> dict[int, TrackSequence]:
                 f"track ids {missing} not in {sorted(tracks)} from {cfg.gt_path}"
             )
         tracks = {i: tracks[i] for i in cfg.track_ids}
+    return tracks
+
+
+def _load_tracks(cfg: RunConfig) -> dict[int, TrackSequence]:
+    """The annotated tracks with the detection file's boxes, if there is one."""
+    tracks = _load_annotations(cfg)
     if cfg.det_path is not None:
         det_rows = parse_mot_file(cfg.det_path, "detection")
         attach_detections(tracks, det_rows, cfg.iou_threshold)
@@ -270,7 +279,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    tracks = _load_tracks(cfg)
+    tracks = _load_annotations(cfg)
     if len(tracks) != 1:
         raise ConfigError(
             f"evaluate needs exactly one track; pass --track-id (have {sorted(tracks)})"

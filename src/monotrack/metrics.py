@@ -11,6 +11,9 @@ filter is overconfident (errors exceed its covariance), below 1 it is
 pessimistic.  If the errors truly follow the reported Gaussians, M n
 times the ANEES is a chi-square variable with M n degrees of freedom.
 Covariances enter through a factorized solve, never an explicit inverse.
+
+``evaluate_track`` holds the rule that decides which trials and frames
+of a stack of trials are scored, and scores them.
 """
 
 from __future__ import annotations
@@ -134,78 +137,54 @@ class TrialStack:
     ends: np.ndarray
 
 
-def stack_trials(
-    frames: Sequence[int], stack: TrialStack
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Stacked (K', M', n) means and (K', M', n, n) covariances of a
-    stack's trials.
-
-    The stack's frames must be consecutive entries of ``frames``.
-    Trials with no rows are left out; of the rest, only the rows that
-    every trial holds are kept, so the trial count stays constant.  The
-    K' kept indices into ``frames`` come first.  The result is the
-    input of ``evaluate_track``.
-    """
-    live = np.flatnonzero(stack.ends)
-    if not live.size:
-        return [], np.empty(0), np.empty(0)
-    frames = list(frames)
-    first = stack.frames[0]
-    start = frames.index(first) if first in frames else 0
-    if frames[start : start + len(stack.frames)] != list(stack.frames):
-        raise FrameMisalignment(
-            f"estimate frames {stack.frames[0]}..{stack.frames[-1]} are not "
-            "consecutive frames of the track"
-        )
-    stop = int(stack.ends[live].min())
-    means, covs = stack.means[:, :stop], stack.covs[:, :stop]
-    if live.size < len(stack.ends):
-        means, covs = means[live], covs[live]
-    # Frame-major and contiguous, as a per-frame stack of the trials is.
-    return (
-        list(range(start, start + stop)),
-        np.ascontiguousarray(means.swapaxes(0, 1)),
-        np.ascontiguousarray(covs.swapaxes(0, 1)),
-    )
-
-
 def evaluate_track(
     truths: np.ndarray,
-    kept: Sequence[int],
-    means: np.ndarray,
-    covs: np.ndarray,
-    frames: Sequence[int] | None = None,
-    space: str = "bb",
+    frames: Sequence[int],
+    stack: TrialStack,
+    rows: Sequence[int],
+    space: str,
 ) -> tuple[EvalSeries, EvalSeries]:
-    """Per-frame RMSE and ANEES series over a track.
+    """Per-frame RMSE and ANEES series of a stack of trials over a track.
 
-    ``truths`` is (K, n).  ``kept`` indexes the frames that have
-    estimates, and ``means`` and ``covs`` stack them as (K', M, n) and
-    (K', M, n, n), as ``stack_trials`` returns them.  The other frames
-    are excluded from both series and counted in ``n_skipped``.  The kept
-    frames are scored with one stacked ``rmse`` and one stacked ``anees``
-    call.
+    ``truths`` is the track's (K, r) truth at its K ``frames``, and the
+    stack's frames must be consecutive entries of ``frames``.  ``rows``
+    are the r state rows compared with the truth.  Trials with no rows
+    are left out; of the rest, only the frames that every trial holds
+    are scored, so the trial count stays constant, and the other frames
+    are counted in ``n_skipped``.  The scored rows are gathered from the
+    stack into (K', M', r) means and (K', M', r, r) covariances,
+    frame-major and contiguous as a per-frame stack of the trials is,
+    and scored with one stacked ``rmse`` and one stacked ``anees`` call.
     """
     k = len(truths)
-    if frames is None:
-        frames = list(range(k))
-    elif len(frames) != k:
+    if len(frames) != k:
         raise FrameMisalignment(f"{k} truth frames but {len(frames)} frame labels")
-    if len(means) != len(kept) or len(covs) != len(kept):
-        raise FrameMisalignment(
-            f"{len(kept)} kept frames but {len(means)} mean and "
-            f"{len(covs)} covariance stacks"
-        )
-    kept_frames = tuple(frames[i] for i in kept)
+    frames = list(frames)
+    live = np.flatnonzero(stack.ends)
+    start = stop = 0
     rmse_values = anees_values = np.empty(0)
-    n_trials = 0
-    if kept:
-        truth = np.asarray(truths, dtype=float)[kept]
+    if live.size:
+        first = stack.frames[0]
+        start = frames.index(first) if first in frames else 0
+        if frames[start : start + len(stack.frames)] != list(stack.frames):
+            raise FrameMisalignment(
+                f"estimate frames {stack.frames[0]}..{stack.frames[-1]} are not "
+                "consecutive frames of the track"
+            )
+        stop = int(stack.ends[live].min())
+        # Index arrays that broadcast to (K', M', r) and (K', M', r, r):
+        # one gather each, with no copy of the stack before it.
+        trial = live[None, :, None]
+        row = np.arange(stop)[:, None, None]
+        picked = np.asarray(rows)
+        means = stack.means[trial, row, picked]
+        covs = stack.covs[trial[..., None], row[..., None], picked[:, None], picked]
+        truth = np.asarray(truths, dtype=float)[start : start + stop]
         rmse_values = rmse(truth, means)
         anees_values = anees(truth, means, covs)
-        n_trials = means.shape[1]
-    skipped = k - len(kept)
+    scored = tuple(frames[start : start + stop])
+    skipped = k - stop
     return (
-        EvalSeries(kept_frames, rmse_values, space, n_trials, skipped),
-        EvalSeries(kept_frames, anees_values, space, n_trials, skipped),
+        EvalSeries(scored, rmse_values, space, live.size, skipped),
+        EvalSeries(scored, anees_values, space, live.size, skipped),
     )

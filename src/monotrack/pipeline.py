@@ -23,7 +23,8 @@ sigma point falling behind the camera), each of its lanes retakes the
 step alone; one that fails again stops, keeping its estimates up to the
 frame before, and the other lanes go on.
 Frames that some trial of a track did not reach are excluded from that
-track's metrics and counted as skipped.
+track's metrics and counted as skipped; ``metrics.evaluate_track`` applies
+this rule to a pass's stack of trials or to one read back from its file.
 
 Any other error escapes the pass and ends the run; the files written
 before it stay.  ``run_track`` runs a group: it scores each filter's
@@ -36,7 +37,7 @@ format is defined here once, for ``write_estimates_csv`` and
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,7 +69,7 @@ from .filters import (
     ukf_predict,
     ukf_update,
 )
-from .metrics import EvalSeries, TrialStack, evaluate_track, stack_trials
+from .metrics import EvalSeries, TrialStack, evaluate_track
 from .models import (
     MEASURED_ROWS,
     BoTParams,
@@ -429,22 +430,18 @@ def score_trials(
 ) -> tuple[EvalSeries, EvalSeries]:
     """RMSE and ANEES series of a stack of trials of one estimate space.
 
-    The space's rows are scored against the annotated boxes or, in
-    ``3d``, their semi-annotations.  A trial with no rows (one that
-    stopped at initialization, and so wrote no estimates rows) is left
-    out; a frame counts only when every remaining trial covers it.
+    The space's rows are scored by ``evaluate_track`` against the
+    annotated boxes or, in ``3d``, their semi-annotations.  A trial with
+    no rows (one that stopped at initialization, and so wrote no
+    estimates rows) is left out; a frame counts only when every
+    remaining trial covers it.
     """
     spec = SPACES[space]
-    rows = list(spec.rows)
-    stack = replace(
-        stack, means=stack.means[..., rows], covs=stack.covs[..., rows, :][..., rows]
-    )
     if spec.scored_in == "3d":
         truth = semi_annotate_3d(track.annotations, cam, guessed_height_m)
     else:
         truth = np.stack([box.as_vector() for box in track.annotations])
-    kept, means, covs = stack_trials(track.frames, stack)
-    return evaluate_track(truth, kept, means, covs, track.frames, spec.scored_in)
+    return evaluate_track(truth, track.frames, stack, spec.rows, spec.scored_in)
 
 
 def evaluate_runs(

@@ -409,6 +409,32 @@ def test_evaluate_missing_estimates_fails(synthetic_sequence, tmp_path):
     assert main(args) == 1
 
 
+def test_evaluate_reads_no_detection_file(synthetic_sequence, tmp_path, capsys):
+    # evaluate scores against the annotations alone: a malformed det.txt
+    # or a missing --det file changes neither its exit code nor its file.
+    out = tmp_path / "results"
+    assert main(["run"] + seq_args(synthetic_sequence, out) + ["--filter", "kf2d"]) == 0
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
+    with open(seq_dir / "det" / "det.txt", "a", encoding="utf-8") as handle:
+        handle.write("1,-1,abc,0,10,20,1\n")
+    cases = {
+        "valid": ["--seq", str(synthetic_sequence.seq_dir)],
+        "malformed": ["--seq", str(seq_dir)],
+        "missing": ["--seq", str(seq_dir), "--det", str(tmp_path / "missing.txt")],
+    }
+    written = {}
+    for case, extra in cases.items():
+        args = ["evaluate", "--out", str(tmp_path / case)] + extra
+        args += ["--estimates", str(out / "SYN-01_id1_kf2d_estimates_bb.csv")]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        metrics = tmp_path / case / "SYN-01_id1_kf2d_estimates_bb_metrics.csv"
+        written[case] = metrics.read_bytes()
+    assert written["malformed"] == written["missing"] == written["valid"]
+
+
 # --------------------------------------------------------------- precedence
 
 

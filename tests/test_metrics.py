@@ -1,11 +1,12 @@
 """Metric tests: hand values for RMSE and ANEES, invariances, the
 chi-square sampling law of ANEES under a correctly reported Gaussian,
-and the per-track evaluation series.
+and the scoring of a stack of trials over a track.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from monotrack import metrics
 from monotrack.exceptions import (
     DimensionMismatch,
     FrameMisalignment,
@@ -27,7 +29,6 @@ from monotrack.metrics import (
     anees,
     evaluate_track,
     rmse,
-    stack_trials,
 )
 
 
@@ -182,40 +183,53 @@ def test_eval_series_validation():
         EvalSeries((0,), np.array([-1.0]), "bb", 1)
 
 
+def _stack(means, covs, ends, frames=None):
+    """A ``TrialStack`` of (M, K, n) means and (M, K, n, n) covariances,
+    at frames 0..K-1 unless ``frames`` are given."""
+    frames = list(range(means.shape[1])) if frames is None else frames
+    return TrialStack(frames, means, covs, np.asarray(ends))
+
+
 def test_evaluate_track_perfect():
     truths = np.arange(12.0).reshape(3, 4)
-    means = np.stack([np.broadcast_to(t, (5, 4)) for t in truths])
-    covs = np.broadcast_to(np.eye(4), (3, 5, 4, 4))
-    rmse_series, anees_series = evaluate_track(truths, [0, 1, 2], means, covs)
+    means = np.broadcast_to(truths, (5, 3, 4))
+    covs = np.broadcast_to(np.eye(4), (5, 3, 4, 4))
+    stack = _stack(means, covs, [3] * 5)
+    rmse_series, anees_series = evaluate_track(
+        truths, [0, 1, 2], stack, (0, 1, 2, 3), "bb"
+    )
     assert rmse_series.frames == (0, 1, 2)
     assert np.array_equal(rmse_series.values, [0.0, 0.0, 0.0])
     assert np.array_equal(anees_series.values, [0.0, 0.0, 0.0])
     assert rmse_series.n_trials == 5 and rmse_series.n_skipped == 0
+    assert rmse_series.space == anees_series.space == "bb"
 
 
 def test_evaluate_track_skips_missing_frames():
-    truths = np.zeros((3, 2))
-    mean = np.array([[3.0, 4.0]])
-    cov = np.eye(2)[None]
+    # The stack begins at the track's second frame and its one trial
+    # stops after that frame's row.
+    truths = np.zeros((4, 2))
+    means = np.array([[[3.0, 4.0], [-1.0, -1.0], [-1.0, -1.0]]])
+    covs = np.broadcast_to(np.eye(2), (1, 3, 2, 2))
+    stack = _stack(means, covs, [1], frames=[11, 12, 13])
     rmse_series, anees_series = evaluate_track(
-        truths,
-        [0, 2],
-        np.stack([mean, mean]),
-        np.stack([cov, cov]),
-        frames=[10, 11, 12],
+        truths, [10, 11, 12, 13], stack, (0, 1), "3d"
     )
-    assert rmse_series.frames == (10, 12)
-    assert np.array_equal(rmse_series.values, [5.0, 5.0])
-    assert anees_series.values == pytest.approx([12.5, 12.5])
-    assert rmse_series.n_skipped == 1
+    assert rmse_series.frames == anees_series.frames == (11,)
+    assert np.array_equal(rmse_series.values, [5.0])
+    assert anees_series.values == pytest.approx([12.5])
+    assert rmse_series.n_skipped == 3 and rmse_series.space == "3d"
 
 
 def test_evaluate_track_rejects_misalignment():
     truths = np.zeros((2, 2))
-    with pytest.raises(FrameMisalignment):
-        evaluate_track(truths, [0], np.empty(0), np.empty(0))
-    with pytest.raises(FrameMisalignment):
-        evaluate_track(truths, [], np.empty(0), np.empty(0), frames=[0])
+    stack = _stack(np.zeros((1, 2, 2)), np.broadcast_to(np.eye(2), (1, 2, 2, 2)), [2])
+    with pytest.raises(FrameMisalignment, match="2 truth frames but 1 frame labels"):
+        evaluate_track(truths, [0], stack, (0, 1), "bb")
+    # The stack's frames must be consecutive frames of the track.
+    for track_frames in ([0, 2], [5, 6]):
+        with pytest.raises(FrameMisalignment, match="estimate frames 0..1 are not"):
+            evaluate_track(truths, track_frames, stack, (0, 1), "bb")
 
 
 def _frame_reference(truth, means, covs):
@@ -230,32 +244,58 @@ def _frame_reference(truth, means, covs):
 @pytest.mark.parametrize("m", [1, 3, 40])
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_evaluate_track_batched_equals_per_frame_bitwise(m, n):
+    # m scored trials over track frames 1..6 of 0..8: the stack begins at
+    # frame 1, trial 0 stops after frame 6, and a last trial has no rows.
     rng = np.random.default_rng(100 * m + n)
     k = 9
     truths = rng.standard_normal((k, n)) * 50.0
-    means: list = []
-    covs: list = []
-    for truth in truths:
-        a = rng.standard_normal((m, n, n))
-        means.append(truth + rng.standard_normal((m, n)) * 3.0)
-        covs.append(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n))
-    kept = [i for i in range(k) if i not in (0, 4, 5)]
+    a = rng.standard_normal((m + 1, k - 1, n, n))
+    means = truths[1:] + rng.standard_normal((m + 1, k - 1, n)) * 3.0
+    covs = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(n)
+    ends = [6] + [k - 1] * (m - 1) + [0]
     frames = [10 * i for i in range(k)]
+    stack = _stack(means, covs, ends, frames[1:])
     rmse_series, anees_series = evaluate_track(
-        truths,
-        kept,
-        np.stack([means[i] for i in kept]),
-        np.stack([covs[i] for i in kept]),
-        frames,
+        truths, frames, stack, tuple(range(n)), "bb"
     )
-    assert rmse_series.frames == tuple(frames[i] for i in kept)
+    scored = range(1, 7)
+    assert rmse_series.frames == tuple(frames[i] for i in scored)
     assert rmse_series.n_trials == m and rmse_series.n_skipped == 3
-    want = np.array([_frame_reference(truths[i], means[i], covs[i]) for i in kept])
+    want = np.array(
+        [_frame_reference(truths[i], means[:m, i - 1], covs[:m, i - 1]) for i in scored]
+    )
     assert rmse_series.values.tobytes() == want[:, 0].tobytes()
     assert anees_series.values.tobytes() == want[:, 1].tobytes()
-    for i, r, a in zip(kept, rmse_series.values, anees_series.values):
-        assert r == rmse(truths[i], means[i])
-        assert a == anees(truths[i], means[i], covs[i])
+    for i, r, v in zip(scored, rmse_series.values, anees_series.values):
+        assert r == rmse(truths[i], means[:m, i - 1])
+        assert v == anees(truths[i], means[:m, i - 1], covs[:m, i - 1])
+
+
+def test_evaluate_track_3d_rows_equal_single_frame_calls_bitwise():
+    # An (M, K, 8, 8) stack scored on the 3d rows: trial 1 stops after row
+    # 5 with garbage rows after its end, and trial 3 has no rows.
+    rng = np.random.default_rng(8)
+    m, k, rows = 5, 9, (0, 2, 4, 6, 7)
+    truths = rng.standard_normal((k, 5)) * 10.0
+    a = rng.standard_normal((m, k, 8, 8))
+    means = rng.standard_normal((m, k, 8)) * 10.0
+    covs = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(8)
+    ends = np.array([k, 6, k, 0, k])
+    means[1, 6:] = covs[1, 6:] = np.nan
+    means[3] = covs[3] = np.nan
+    rmse_series, anees_series = evaluate_track(
+        truths, list(range(k)), _stack(means, covs, ends), rows, "3d"
+    )
+    assert rmse_series.frames == tuple(range(6))
+    assert rmse_series.n_trials == 4 and rmse_series.n_skipped == 3
+    for frame, r, v in zip(rmse_series.frames, rmse_series.values, anees_series.values):
+        picked = [0, 1, 2, 4]
+        hand_means = np.array([[means[t, frame, i] for i in rows] for t in picked])
+        hand_covs = np.array(
+            [[[covs[t, frame, i, j] for j in rows] for i in rows] for t in picked]
+        )
+        assert r == rmse(truths[frame], hand_means)
+        assert v == anees(truths[frame], hand_means, hand_covs)
 
 
 def test_batched_metrics_reject_mismatch():
@@ -265,7 +305,7 @@ def test_batched_metrics_reject_mismatch():
         anees(np.zeros((3, 2)), np.zeros((3, 1, 2)), np.zeros((3, 2, 2, 2)))
 
 
-def test_stack_trials_keeps_frames_every_trial_covers():
+def test_evaluate_track_scores_frames_every_live_trial_covers(monkeypatch):
     # Three trials over track frames 1..3 of 0..3: trial 1 stopped after
     # frame 2 and trial 2 before its first row (its rows are garbage).
     frames = [1, 2, 3]
@@ -275,17 +315,31 @@ def test_stack_trials_keeps_frames_every_trial_covers():
         for k, f in enumerate(frames):
             means[t, k] = [f + 0.5 * t, 0.0]
             covs[t, k] = np.eye(2) * (f + 1)
-    stack = TrialStack(frames, means, covs, np.array([3, 2, 0]))
-    kept, means, covs = stack_trials([0, 1, 2, 3], stack)
-    assert kept == [1, 2]
-    assert means.shape == (2, 2, 2) and covs.shape == (2, 2, 2, 2)
-    assert means.flags.c_contiguous and covs.flags.c_contiguous
-    assert np.array_equal(means[0], [[1.0, 0.0], [1.5, 0.0]])
-    assert np.array_equal(means[1], [[2.0, 0.0], [2.5, 0.0]])
-    assert np.array_equal(covs[1], [np.eye(2) * 3, np.eye(2) * 3])
+    stack = _stack(means, covs, [3, 2, 0], frames)
+    # The stacked arrays reach ``anees`` frame-major and contiguous.
+    seen = []
+    monkeypatch.setattr(
+        metrics, "anees", lambda *args: seen.append(args) or anees(*args)
+    )
+    truths = np.zeros((4, 2))
+    rmse_series, anees_series = evaluate_track(truths, [0, 1, 2, 3], stack, (0, 1), "bb")
+    assert rmse_series.frames == anees_series.frames == (1, 2)
+    assert rmse_series.n_trials == 2 and rmse_series.n_skipped == 2
+    assert rmse_series.values.tolist() == [
+        rmse(np.zeros(2), np.array([[1.0, 0.0], [1.5, 0.0]])),
+        rmse(np.zeros(2), np.array([[2.0, 0.0], [2.5, 0.0]])),
+    ]
+    (_, seen_means, seen_covs), = seen
+    assert seen_means.shape == (2, 2, 2) and seen_covs.shape == (2, 2, 2, 2)
+    assert seen_means.flags.c_contiguous and seen_covs.flags.c_contiguous
+    assert np.array_equal(seen_means[1], [[2.0, 0.0], [2.5, 0.0]])
+    assert np.array_equal(seen_covs[1], [np.eye(2) * 3, np.eye(2) * 3])
+    # With no trial left, no frame is scored, and misaligned frames pass.
     empty = dataclasses.replace(stack, ends=np.array([0, 0, 0]))
-    assert stack_trials([0, 1, 2, 3], empty)[0] == []
-    # The stack's frames must be consecutive frames of the track.
-    for track_frames in ([0, 1, 3], [5, 6]):
-        with pytest.raises(FrameMisalignment):
-            stack_trials(track_frames, stack)
+    for track_frames in ([0, 1, 2, 3], [5, 6, 7, 8]):
+        rmse_series, anees_series = evaluate_track(
+            truths, track_frames, empty, (0, 1), "bb"
+        )
+        assert rmse_series.frames == () and rmse_series.values.shape == (0,)
+        assert rmse_series.n_trials == 0 and rmse_series.n_skipped == 4
+        assert anees_series.frames == () and math.isnan(anees_series.median)
