@@ -21,7 +21,9 @@ track's first detection; frames with no detection advance by prediction
 only.  When a stacked step leaves the filter's domain (for example, a
 sigma point falling behind the camera), each of its lanes retakes the
 step alone; one that fails again stops, keeping its estimates up to the
-frame before, and the other lanes go on.
+frame before, and the other lanes go on.  No step reads a box, so after
+the frame loop the stored rows are mapped to box space in blocks, under
+the same rule: a row that fails alone ends its lane at its frame.
 Frames that some trial of a track did not reach are excluded from that
 track's metrics and counted as skipped; ``metrics.evaluate_track`` applies
 this rule to a pass's stack of trials or to one read back from its file.
@@ -88,6 +90,10 @@ _TRACK_STOPPERS = (
     InvalidEstimate,
 )
 
+# Most stored rows one box call maps, unless a pass has more lanes.  Set
+# by measurement: larger blocks raise the peak memory of a pass.
+_BOX_BLOCK = 64
+
 
 class SpaceSpec(NamedTuple):
     """An estimate space's state names, the space it is scored in (``bb``
@@ -149,7 +155,8 @@ def build_bundle(
 
 
 class FilterSpec(NamedTuple):
-    """What sets one filter apart: its native space and its four steps.
+    """What sets one filter apart: its native space, its three frame
+    steps (init, predict, update) and its box map to box space.
 
     The steps look the filter functions up in this module when called,
     so a rebound module name (a tracer's wrapper) is the one that runs.
@@ -267,14 +274,24 @@ def run_filter(
     Every lane's current estimate lives in its own slot, one row of an
     (L, n) mean and an (L, n, n) covariance array.  A schedule built once
     per pass says which lanes predict, update, initialize and are stored
-    at each frame, and at each frame the steps run in that order.  Each
-    step makes one filter call on its lanes' slots (all of them, with no
-    copy, when every lane takes it) and writes the result into the slots
-    or, for the box step, the stored rows.  If the call leaves the
-    filter's domain, each lane retakes the step alone from its slot; one
-    that fails again stops at that frame, keeping its rows up to the
-    frame before.  Each lane's rows are bit for bit those of a run of
-    that lane alone.  Any other error escapes the pass with no run
+    at each frame, and at each frame the steps run in that order; a step
+    no lane takes is skipped.  Each step makes one filter call on its
+    lanes' slots (all of them, as one slice, while every lane is alive
+    and takes it) and writes the result into the slots; the store step
+    copies the slots into each lane's next native row.  If the call
+    leaves the filter's domain, each lane retakes the step alone from its
+    slot; one that fails again stops at that frame, keeping its rows up
+    to the frame before.
+
+    After the frame loop, ``spec.box`` maps each lane's stored rows, lane
+    after lane, in blocks of at most ``max(_BOX_BLOCK, L)`` rows, so a
+    pass makes no more box calls than it has frames.  If a block leaves
+    the filter's domain, its rows are boxed alone in order; a lane's
+    first row that fails again ends the lane there with that error, and
+    its later rows are not boxed.  Such a lane's native steps after that
+    row have run, so an error other than a domain error in one of them
+    still ends the run.  Each lane's rows are bit for bit those of a run
+    of that lane alone.  Any other error escapes the pass with no run
     returned.
     """
     spec = FILTERS.get(filter_name)
@@ -343,64 +360,101 @@ def run_filter(
     init = lambda _, z: spec.init(z, bundle)  # noqa: E731
     predict = lambda est, _: spec.predict(est, bundle)  # noqa: E731
     update = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
-    box_of = lambda est, _: spec.box(est, bundle)  # noqa: E731
+    to_row = lambda est, _: est  # noqa: E731
     # The schedule: per step, in the order they run at a frame, which
-    # lanes take it at each pass frame.
+    # lanes take it at each pass frame and how many do.
     frame = np.arange(span)[:, None]
     first_at, last_at = np.asarray(first), np.asarray(last)
-    schedule = (
-        (predict, (first_at < frame) & (frame <= last_at)),
-        (update, has_z & (first_at < frame)),
-        (init, first_at == frame),
-        (box_of, has_row),
-    )
-    # Each lane's slot, and whether it has not stopped.
+    schedule = [
+        (step, due, due.sum(axis=1).tolist())
+        for step, due in (
+            (predict, (first_at < frame) & (frame <= last_at)),
+            (update, has_z & (first_at < frame)),
+            (init, first_at == frame),
+            (to_row, has_row),
+        )
+    ]
+    # Each lane's slot, whether it has not stopped, and its next row.
     mean, cov = np.zeros((lanes_total, n)), np.zeros((lanes_total, n, n))
     alive = np.ones(lanes_total, dtype=bool)
-    cursor = np.asarray(base)
+    n_alive = lanes_total
+    base_at = np.asarray(base)
+    cursor = base_at.copy()
 
     def write(
         step: Callable[..., GaussianEstimate],
-        est: GaussianEstimate,
         out: GaussianEstimate,
         rows: slice | np.ndarray | int,
     ) -> None:
         """Store ``step``'s result ``out`` for lanes ``rows``: in their
-        slots or, for the box step, with their slots ``est`` as next rows."""
-        if step is box_of:
-            at = cursor[rows]
-            est.put(store[0], store[1], at)
-            out.put(store[2], store[3], at)
+        slots or, for the store step, as their next native rows."""
+        if step is to_row:
+            out.put(store[0], store[1], cursor[rows])
             cursor[rows] += 1
         else:
             out.put(mean, cov, rows)
 
     for t in range(span):
-        for step, due in schedule:
-            lanes = (due[t] & alive).nonzero()[0]
-            if not lanes.size:
+        for step, due, count in schedule:
+            if not count[t]:
                 continue
-            rows = slice(None) if lanes.size == lanes_total else lanes
+            if count[t] == n_alive == lanes_total:
+                rows = slice(None)
+            else:
+                rows = (due[t] & alive).nonzero()[0]
+                if not rows.size:
+                    continue
             est = GaussianEstimate.take(mean, cov, rows)
             try:
                 out = step(est, z_all[t, rows])
             except _TRACK_STOPPERS:
                 pass
             else:
-                write(step, est, out, rows)
+                write(step, out, rows)
                 continue
             # Some lane left the filter's domain: each lane retakes the
             # step alone from its slot, and one that stops again ends there.
-            for lane in lanes.tolist():
+            for lane in np.arange(lanes_total)[rows].tolist():
                 est = GaussianEstimate.take(mean, cov, lane)
                 try:
                     out = step(est, z_all[t, lane])
                 except _TRACK_STOPPERS as exc:
                     alive[lane] = False
+                    n_alive -= 1
                     run, trial = owner[lane]
                     run.stop(trial, int(cursor[lane]) - base[lane], exc)
                 else:
-                    write(step, est, out, lane)
+                    write(step, out, lane)
+
+    # Box every lane's stored rows, lane after lane, in blocks; a lane
+    # whose box fails ends at that row, so its later rows are skipped.
+    stored = np.concatenate([np.arange(b, c) for b, c in zip(base, cursor.tolist())])
+    stored_lane = np.repeat(np.arange(lanes_total), cursor - base_at)
+    size = max(_BOX_BLOCK, lanes_total)
+    for lo in range(0, stored.size, size):
+        at, lane = stored[lo : lo + size], stored_lane[lo : lo + size]
+        live = at < cursor[lane]
+        at, lane = at[live], lane[live]
+        if not at.size:
+            continue
+        try:
+            out = spec.box(GaussianEstimate.take(store[0], store[1], at), bundle)
+        except _TRACK_STOPPERS:
+            pass
+        else:
+            out.put(store[2], store[3], at)
+            continue
+        for row, one in zip(at.tolist(), lane.tolist()):
+            if row >= cursor[one]:
+                continue
+            try:
+                out = spec.box(GaussianEstimate.take(store[0], store[1], row), bundle)
+            except _TRACK_STOPPERS as exc:
+                cursor[one] = row
+                run, trial = owner[one]
+                run.stop(trial, row - base[one], exc)
+            else:
+                out.put(store[2], store[3], row)
     return FilterPass(runs)
 
 

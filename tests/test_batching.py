@@ -251,13 +251,33 @@ STEP_FUNCTIONS = {
 PREDICT_X_LIMIT = {"kf2d": 1200.0, "bot": 1200.0, "ukf3d": 2.0}
 
 
+def walking_tracks() -> list[TrackSequence]:
+    """Three ten-frame tracks: track 1 misses its detection at frame 6,
+    track 2 starts at frame 2 and walks 50 px a frame to the right, and
+    track 3 walks beside track 1."""
+    def track(object_id: int, x0: float, dx: float, first: int, dropped: set[int]):
+        boxes = [BoundingBox(x0 + dx * k, 600.0 + k, 80.0, 160.0 + k) for k in range(10)]
+        seen = [
+            None if first + k in dropped else BoundingBox(b.x + 1.5, b.y - 0.5, b.w, b.h)
+            for k, b in enumerate(boxes)
+        ]
+        return TrackSequence(object_id, list(range(10)), boxes, seen, first_frame=first)
+
+    return [
+        track(1, 700.0, 3.0, 0, {6}),
+        track(2, 1000.0, 50.0, 2, set()),
+        track(3, 900.0, 3.0, 0, set()),
+    ]
+
+
 @pytest.mark.parametrize("step", ["predict", "update"])
 @pytest.mark.parametrize("name", FILTER_NAMES)
 def test_lane_stopping_at_predict_or_update_stops_alone(monkeypatch, name, step):
     # The filter's predict (or update) refuses any stack that holds a lane
-    # past x = 1200 px, as a domain error.  Only track 2 walks that far,
-    # so it stops mid-track, at frame 6 for the update, while track 1's
-    # two trials, which have no detection at frame 6, and track 3 go on.
+    # past x = 1200 px, as a domain error.  Only track 2 of
+    # ``walking_tracks`` walks that far, so it stops mid-track, at frame 6
+    # for the update, while track 1's two trials, which have no detection
+    # at frame 6, and track 3 go on.
     attribute = STEP_FUNCTIONS[step][name]
     original = getattr(pipeline, attribute)
 
@@ -269,20 +289,7 @@ def test_lane_stopping_at_predict_or_update_stops_alone(monkeypatch, name, step)
         return original(est, *args)
 
     monkeypatch.setattr(pipeline, attribute, refusing)
-
-    def track(object_id: int, x0: float, dx: float, first: int, dropped: set[int]):
-        boxes = [BoundingBox(x0 + dx * k, 600.0 + k, 80.0, 160.0 + k) for k in range(10)]
-        seen = [
-            None if first + k in dropped else BoundingBox(b.x + 1.5, b.y - 0.5, b.w, b.h)
-            for k, b in enumerate(boxes)
-        ]
-        return TrackSequence(object_id, list(range(10)), boxes, seen, first_frame=first)
-
-    tracks = [
-        track(1, 700.0, 3.0, 0, {6}),
-        track(2, 1000.0, 50.0, 2, set()),
-        track(3, 900.0, 3.0, 0, set()),
-    ]
+    tracks = walking_tracks()
     detections = [real_detections(one) for one in tracks]
     detected, z = detections[0]
     detections[0] = (detected, np.concatenate([z, z + 0.25]))
@@ -297,6 +304,108 @@ def test_lane_stopping_at_predict_or_update_stops_alone(monkeypatch, name, step)
         assert stopped.ends.tolist() == [4]
     for run in (passed.runs[0], passed.runs[2]):
         assert run.failure is None and (run.ends == 10).all()
+
+
+# The pipeline name of each filter's box function, and where a patched
+# one refuses a row: its first state component past this limit, which
+# only track 2 of ``walking_tracks`` crosses, at its second row.
+BOX_FUNCTIONS = {
+    "kf2d": "linear_box_estimate", "bot": "linear_box_estimate", "ukf3d": "project_estimate"
+}
+BOX_X_LIMIT = {"kf2d": 1020.0, "bot": 1020.0, "ukf3d": 0.6}
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_lane_stopping_at_box_stops_alone(monkeypatch, name):
+    # The box refuses any stack that holds a row past the x limit.  Track
+    # 1 starts a frame late (9 rows) and track 3 carries two trials, so
+    # four lanes are boxed four rows at a time, lane after lane.  The
+    # third block holds track 1's last row and track 2's first three; it
+    # is boxed row by row, and track 2 ends at its second row.  Its third
+    # row, the next block (all track 2) and track 2's rows in the block
+    # after are never boxed.
+    original = getattr(pipeline, BOX_FUNCTIONS[name])
+    shapes: list[tuple[int, ...]] = []
+
+    def refusing(est, *args):
+        shapes.append(est.mean.shape[:-1])
+        if (est.mean[..., 0] > BOX_X_LIMIT[name]).any():
+            raise DepthNonPositive("past the x limit")
+        return original(est, *args)
+
+    monkeypatch.setattr(pipeline, BOX_FUNCTIONS[name], refusing)
+    monkeypatch.setattr(pipeline, "_BOX_BLOCK", 3)
+    tracks = walking_tracks()
+    detections = [real_detections(one) for one in tracks]
+    detected, z = detections[0]
+    detections[0] = (detected[1:], z[:, 1:])
+    detected, z = detections[2]
+    detections[2] = (detected, np.concatenate([z, z + 0.25]))
+    passed = run_filter(tracks, detections, BUNDLE, name)
+    assert shapes == [(4,)] * 3 + [()] * 3 + [(1,)] + [(4,)] * 4 + [(3,)]
+    for one, (detected, z), run in zip(tracks, detections, passed.runs):
+        for trial, lane in enumerate(z):
+            assert_rows_match(run, trial, lane_alone(one, detected, lane, name))
+    stopped = passed.runs[1]
+    assert stopped.failures == ["DepthNonPositive: past the x limit"]
+    assert stopped.ends.tolist() == [1]
+    assert not stopped.boxes.means[0, 1:].any() and not stopped.boxes.covs[0, 1:].any()
+    for run in (passed.runs[0], passed.runs[2]):
+        assert run.failure is None and (run.ends == len(run.frames)).all()
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_box_block_size_changes_no_row(monkeypatch, name):
+    # Two lanes: trial 1 of the behind-camera track (ukf3d stops it at
+    # its second frame) and a track with annotation gaps and no detection
+    # on its first two frames.  Blocks of 2, 3 and the default rows store
+    # the same bits, and every lane its lone run's rows.
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    behind = TrackSequence(1, [0, 1, 2, 3], [box] * 4)
+    z = np.array([[box.as_vector() + 0.5] * 4])
+    z[0, 1] = [900.0, 600.0, 80.0, 3200.0]
+    tracks = [behind, hand_tracks()[1]]
+    detections = [([0, 1, 2, 3], z), real_detections(tracks[1])]
+    runs = {}
+    for size in (1, 3, pipeline._BOX_BLOCK):
+        monkeypatch.setattr(pipeline, "_BOX_BLOCK", size)
+        runs[size] = run_filter(tracks, detections, BUNDLE, name).runs
+    for one, (detected, z), run in zip(tracks, detections, runs[1]):
+        assert_rows_match(run, 0, lane_alone(one, detected, z[0], name))
+    assert (runs[1][0].failure is not None) == (name == "ukf3d")
+    for size, other in runs.items():
+        for mine, ref in zip(other, runs[1]):
+            assert mine.failures == ref.failures and mine.ends.tolist() == ref.ends.tolist()
+            for a, b in ((mine.native, ref.native), (mine.boxes, ref.boxes)):
+                assert same_bits(a.means, b.means) and same_bits(a.covs, b.covs), size
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_full_stack_steps_give_way_after_a_stop(monkeypatch, name):
+    # Every lane takes every step of one track until trial 1's detections
+    # jump past x = 1000 px at frame 5, where the update refuses it.  The
+    # updates carry all three slots until then, the three lanes alone at
+    # frame 5, and the two live slots after it; every lane stores its
+    # lone run's rows.
+    original = getattr(pipeline, STEP_FUNCTIONS["update"][name])
+    sizes: list[int] = []
+
+    def refusing(est, z, *args):
+        sizes.append(len(z) if z.ndim == 2 else 1)
+        if (z[..., 0] > 1000.0).any():
+            raise DepthNonPositive("past the x limit")
+        return original(est, z, *args)
+
+    monkeypatch.setattr(pipeline, STEP_FUNCTIONS["update"][name], refusing)
+    boxes = [BoundingBox(900.0 + 3.0 * k, 600.0 + k, 80.0, 160.0 + k) for k in range(10)]
+    track = TrackSequence(1, list(range(10)), boxes)
+    z = np.array([[b.as_vector() + 0.5 * t for b in boxes] for t in range(3)])
+    z[1, 5:, 0] += 100.0
+    (run,) = run_filter([track], [(list(range(10)), z)], BUNDLE, name).runs
+    assert sizes == [3] * 5 + [1] * 3 + [2] * 4
+    assert run.ends.tolist() == [10, 5, 10]
+    for trial, lane in enumerate(z):
+        assert_rows_match(run, trial, lane_alone(track, list(range(10)), lane, name))
 
 
 def hand_tracks() -> list[TrackSequence]:

@@ -270,8 +270,9 @@ def test_filter_steps_call_rebound_module_names(monkeypatch, name):
     z = np.array([[box.as_vector()] * 3])
     assert run_filter([track], [([0, 1, 2], z)], bundle, name).failure is None
     # One init, three predictions (one into frame 1, two across the
-    # gap), two updates and a box for each of the three frames.
-    assert [calls[step] for step in STEP_FUNCTIONS[name]] == [1, 3, 2, 3]
+    # gap), two updates, and one box call for the block of the three
+    # stored rows.
+    assert [calls[step] for step in STEP_FUNCTIONS[name]] == [1, 3, 2, 1]
 
 
 # ---------------------------------------------------------------- run_track
