@@ -218,7 +218,7 @@ def read_config_file(path: str | Path) -> dict[str, dict[str, str]]:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     sections = {section for section, _ in SETTINGS}
     out: dict[str, dict[str, str]] = {}
@@ -252,7 +252,7 @@ def read_seqinfo(seq_dir: Path) -> tuple[tuple[int, int] | None, float | None, s
     parser = configparser.ConfigParser()
     try:
         parser.read(info, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed {info}: {exc}") from exc
     section = parser["Sequence"] if parser.has_section("Sequence") else {}
     if "name" in section:

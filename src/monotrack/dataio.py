@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -142,19 +142,31 @@ def format_floats(values: Sequence[float]) -> str:
     return (line + ",").replace(".0,", ",")[:-1]
 
 
+def text_lines(handle: TextIO, path: str | Path) -> Iterator[str]:
+    """The lines of a file opened as UTF-8 text; a byte that is not UTF-8
+    raises ``ParseError`` naming the file."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        message = f"not UTF-8 text: byte {byte:#04x}, {exc.reason}"
+        raise ParseError(None, message, path) from exc
+
+
 def parse_mot_file(path: str | Path, kind: str = "annotation") -> list[MotRow]:
     """Parse a MOT CSV file into rows.
 
     ``kind`` is "annotation" (class and visibility read when present) or
     "detection" (trailing placeholder fields ignored).  Blank lines are
     skipped; any other malformed line, a non-finite number included,
-    raises ``ParseError`` with the file and its line number.
+    raises ``ParseError`` with the file and its line number, and text
+    that is not UTF-8 raises it with the file.
     """
     if kind not in ("annotation", "detection"):
         raise ValueError(f"unknown file kind {kind!r}")
     rows: list[MotRow] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+        for lineno, line in enumerate(text_lines(handle, path), start=1):
             text = line.strip()
             if not text:
                 continue

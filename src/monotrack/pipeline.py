@@ -11,22 +11,34 @@ one track with its M Monte Carlo trials.  Either way a track's
 detections come as the indices of its frames that have a detection and
 an (M, D, 4) array of its trials' detections there, with M = 1 for real
 detections.  The lanes of a pass step together on the absolute frame
-number.  Each lane keeps its current estimate in a fixed slot, one row
-of the pass's stacked mean and covariance arrays, and a schedule built
-once per pass says which lanes predict, update, initialize and are
-stored at each frame.  Each step of a frame is one call of the filter
-on the stack of its lanes' slots.  Tracks may start, end and miss
-detections at different frames.  A lane's estimates begin at its
-track's first detection; frames with no detection advance by prediction
-only.  When a stacked step leaves the filter's domain (for example, a
-sigma point falling behind the camera), each of its lanes retakes the
-step alone; one that fails again stops, keeping its estimates up to the
-frame before, and the other lanes go on.  No step reads a box, so after
-the frame loop the stored rows are mapped to box space in blocks, under
-the same rule: a row that fails alone ends its lane at its frame.
-Frames that some trial of a track did not reach are excluded from that
-track's metrics and counted as skipped; ``metrics.evaluate_track`` applies
-this rule to a pass's stack of trials or to one read back from its file.
+number, so tracks may start, end and miss detections at different
+frames.  A lane initializes at its track's first detection, predicts
+across every frame step after it (an annotation gap takes one per
+frame), updates where it has a detection and stores a row at each of
+its track's frames.  Each lane keeps its current estimate in a fixed
+slot, one row of the pass's stacked mean and covariance arrays, and a
+schedule built once per pass says which lanes predict, update,
+initialize and store at each frame.  Each step of a frame is one call
+of the filter on the stack of its lanes' slots, taken as one slice
+while every lane runs and takes the step; then the store copies each
+storing lane's slot into its next row.
+
+A lane ends in one way: it has an end row, and it runs while its next
+row is below it.  When a stacked step leaves the filter's domain (for
+example, a sigma point falling behind the camera), each of its lanes
+retakes the step alone; one that fails again ends at its next row,
+keeping its estimates up to the frame before, and the other lanes go
+on.  A copy cannot leave the domain.  No step reads a box, so after the
+frame loop each lane's stored rows are mapped to box space, lane after
+lane, in blocks of at most max(64, L) rows for a pass of L lanes, under
+the same rule: a row that fails alone ends its lane at that row, and
+the lane's later rows are not boxed.  That lane's native steps after
+the row have run, so an error other than a domain error in one of them
+still ends the run.  Each lane's rows are bit for bit those of a run of
+that lane alone.  Frames that some trial of a track did not reach are
+excluded from that track's metrics and counted as skipped;
+``metrics.evaluate_track`` applies this rule to a pass's stack of trials
+or to one read back from its file.
 
 Any other error escapes the pass and ends the run; the files written
 before it stay.  ``run_track`` runs a group: it scores each filter's
@@ -46,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .dataio import TrackSequence, format_float, format_floats, semi_annotate_3d
+from .dataio import TrackSequence, format_float, format_floats, semi_annotate_3d, text_lines
 from .exceptions import (
     ConfigError,
     DecompositionFailure,
@@ -210,10 +222,6 @@ class FilterRun:
     failures: list[str | None]
 
     @property
-    def frames(self) -> list[int]:
-        return self.native.frames
-
-    @property
     def ends(self) -> np.ndarray:
         return self.native.ends
 
@@ -261,38 +269,14 @@ def run_filter(
     ``detections`` holds each track's detections: the indices into
     ``track.frames`` of the frames with a detection, and the (M, D, 4)
     array of its M trials' detections there.  The result holds one run
-    per track, in their order.
+    per track, in their order; each lane's rows are bit for bit those of
+    a run of that lane alone.
 
-    Each (track, trial) series is a lane, and all lanes step together on
-    the absolute frame number ``first_frame + k``.  A lane initializes at
-    its track's first detection, predicts across every frame step
-    (including annotation gaps, which may span several sampling periods),
-    updates where its track has a detection, and stores a row at each of
-    its track's frames.  It leaves after its track's last frame.  So
-    tracks may start, end and miss detections at different frames.
-
-    Every lane's current estimate lives in its own slot, one row of an
-    (L, n) mean and an (L, n, n) covariance array.  A schedule built once
-    per pass says which lanes predict, update, initialize and are stored
-    at each frame, and at each frame the steps run in that order; a step
-    no lane takes is skipped.  Each step makes one filter call on its
-    lanes' slots (all of them, as one slice, while every lane is alive
-    and takes it) and writes the result into the slots; the store step
-    copies the slots into each lane's next native row.  If the call
-    leaves the filter's domain, each lane retakes the step alone from its
-    slot; one that fails again stops at that frame, keeping its rows up
-    to the frame before.
-
-    After the frame loop, ``spec.box`` maps each lane's stored rows, lane
-    after lane, in blocks of at most ``max(_BOX_BLOCK, L)`` rows, so a
-    pass makes no more box calls than it has frames.  If a block leaves
-    the filter's domain, its rows are boxed alone in order; a lane's
-    first row that fails again ends the lane there with that error, and
-    its later rows are not boxed.  Such a lane's native steps after that
-    row have run, so an error other than a domain error in one of them
-    still ends the run.  Each lane's rows are bit for bit those of a run
-    of that lane alone.  Any other error escapes the pass with no run
-    returned.
+    A lane whose step or box leaves the filter's domain (an error in
+    ``_TRACK_STOPPERS``) alone stops at that row, as the module docstring
+    describes; the other lanes go on.  Any other error escapes the pass
+    with no run returned, including one in a native step after a row
+    whose box later fails.
     """
     spec = FILTERS.get(filter_name)
     if spec is None:
@@ -311,27 +295,18 @@ def run_filter(
     store = [np.zeros((offsets[-1],) + shape) for shape in ((n,), (n, n), (4,), (4, 4))]
     runs: list[FilterRun] = []
     for g, (track, m, k) in enumerate(zip(tracks, sizes, counts)):
-        mean, cov, box_mean, box_cov = (
-            a[offsets[g] : offsets[g + 1]].reshape((m, k) + a.shape[1:]) for a in store
-        )
-        frames = list(track.frames[starts[g] :]) if k else []
-        ends = np.full(m, k)
-        runs.append(
-            FilterRun(
-                filter_name,
-                TrialStack(frames, mean, cov, ends),
-                TrialStack(frames, box_mean, box_cov, ends),
-                [None if k else "no detections to initialize from"] * m,
-            )
-        )
+        views = [a[offsets[g] : offsets[g + 1]].reshape((m, k) + a.shape[1:]) for a in store]
+        frames, ends = (list(track.frames[starts[g] :]) if k else []), np.full(m, k)
+        native, boxes = (TrialStack(frames, *views[i : i + 2], ends) for i in (0, 2))
+        failures = [None if k else "no detections to initialize from"] * m
+        runs.append(FilterRun(filter_name, native, boxes, failures))
     joined = [g for g, k in enumerate(counts) if k]
     if not joined:
         return FilterPass(runs)
 
-    # Per lane: its run and trial, its first row's position in the store,
-    # and the pass frames of its first and last rows.  Per pass frame and
-    # lane: the detection, whether there is one, and whether the lane's
-    # track has a row (an annotation) there.
+    # Per lane: its run and trial, the pass frames of its first and last
+    # rows and its first store row.  Per pass frame and lane: the detection,
+    # whether there is one and whether the lane's track has a row there.
     f0 = min(tracks[g].first_frame + tracks[g].frames[starts[g]] for g in joined)
     span = max(tracks[g].first_frame + tracks[g].frames[-1] for g in joined) - f0 + 1
     lanes_total = sum(sizes[g] for g in joined)
@@ -339,9 +314,7 @@ def run_filter(
     has_z = np.zeros((span, lanes_total), dtype=bool)
     has_row = np.zeros((span, lanes_total), dtype=bool)
     owner: list[tuple[FilterRun, int]] = []
-    base: list[int] = []
-    first: list[int] = []
-    last: list[int] = []
+    first, last, base = (np.zeros(lanes_total, dtype=int) for _ in range(3))
     for g in joined:
         m, k = sizes[g], counts[g]
         at = np.asarray(tracks[g].frames[starts[g] :]) + (tracks[g].first_frame - f0)
@@ -351,110 +324,93 @@ def run_filter(
         rows = [i - starts[g] for i in detected]
         has_z[at[rows], block] = True
         z_all[at[rows], block] = z.swapaxes(0, 1)
-        for trial in range(m):
-            owner.append((runs[g], trial))
-            base.append(offsets[g] + trial * k)
-            first.append(int(at[0]))
-            last.append(int(at[-1]))
+        first[block], last[block] = at[0], at[-1]
+        base[block] = offsets[g] + k * np.arange(m)
+        owner += zip([runs[g]] * m, range(m))
 
     init = lambda _, z: spec.init(z, bundle)  # noqa: E731
     predict = lambda est, _: spec.predict(est, bundle)  # noqa: E731
     update = lambda est, z: spec.update(est, z, bundle)  # noqa: E731
-    to_row = lambda est, _: est  # noqa: E731
+    box = lambda est, _: spec.box(est, bundle)  # noqa: E731
     # The schedule: per step, in the order they run at a frame, which
-    # lanes take it at each pass frame and how many do.
+    # lanes take it at each pass frame and how many do; then the store's.
     frame = np.arange(span)[:, None]
-    first_at, last_at = np.asarray(first), np.asarray(last)
     schedule = [
         (step, due, due.sum(axis=1).tolist())
         for step, due in (
-            (predict, (first_at < frame) & (frame <= last_at)),
-            (update, has_z & (first_at < frame)),
-            (init, first_at == frame),
-            (to_row, has_row),
+            (predict, (first < frame) & (frame <= last)),
+            (update, has_z & (first < frame)),
+            (init, first == frame),
         )
     ]
-    # Each lane's slot, whether it has not stopped, and its next row.
-    mean, cov = np.zeros((lanes_total, n)), np.zeros((lanes_total, n, n))
-    alive = np.ones(lanes_total, dtype=bool)
-    n_alive = lanes_total
-    base_at = np.asarray(base)
-    cursor = base_at.copy()
+    stores = has_row.sum(axis=1).tolist()
+    # Each lane's slot, next row and end row, which starts at the next
+    # lane's first row; and the lane of each store row.
+    slots = mean, cov = np.zeros((lanes_total, n)), np.zeros((lanes_total, n, n))
+    lane_ids = np.arange(lanes_total)
+    cursor = base.copy()
+    end_row = np.append(base[1:], offsets[-1])
+    row_lane = np.repeat(lane_ids, end_row - base)
+    ended: list[int] = []
 
-    def write(
-        step: Callable[..., GaussianEstimate],
-        out: GaussianEstimate,
-        rows: slice | np.ndarray | int,
-    ) -> None:
-        """Store ``step``'s result ``out`` for lanes ``rows``: in their
-        slots or, for the store step, as their next native rows."""
-        if step is to_row:
-            out.put(store[0], store[1], cursor[rows])
-            cursor[rows] += 1
-        else:
-            out.put(mean, cov, rows)
+    def end(lane: int, row: int, exc: Exception) -> None:
+        """End ``lane`` before store row ``row`` with the error ``exc``."""
+        end_row[lane] = row
+        ended.append(lane)
+        run, trial = owner[lane]
+        run.stop(trial, row - base[lane], exc)
+
+    def running(due: np.ndarray, count: list[int], t: int) -> slice | np.ndarray | None:
+        """The running lanes of ``due`` at pass frame ``t``, or None: one
+        slice while every lane is due and none has ended."""
+        if not count[t]:
+            return None
+        if count[t] == lanes_total and not ended:
+            return slice(None)
+        rows = (due[t] & (cursor < end_row) if ended else due[t]).nonzero()[0]
+        return rows if rows.size else None
+
+    def attempt(step, src, dst, at, z, lanes, rows) -> None:
+        """Put ``step`` of the stack ``at`` of ``src`` into ``dst``.  If it
+        leaves the filter's domain, each member retakes it alone, in order:
+        one whose lane (``lanes[at]``) has ended by its row (``rows[at]``)
+        is skipped, and one that fails again ends its lane at that row."""
+        try:
+            step(GaussianEstimate.take(*src, at), z).put(*dst, at)
+            return
+        except _TRACK_STOPPERS:
+            pass
+        members = zip(np.arange(len(src[0]))[at].tolist(), lanes[at].tolist(), rows[at].tolist())
+        for k, (i, lane, row) in enumerate(members):
+            if row >= end_row[lane]:
+                continue
+            try:
+                out = step(GaussianEstimate.take(*src, i), z if z is None else z[k])
+            except _TRACK_STOPPERS as exc:
+                end(lane, row, exc)
+            else:
+                out.put(*dst, i)
 
     for t in range(span):
         for step, due, count in schedule:
-            if not count[t]:
-                continue
-            if count[t] == n_alive == lanes_total:
-                rows = slice(None)
-            else:
-                rows = (due[t] & alive).nonzero()[0]
-                if not rows.size:
-                    continue
-            est = GaussianEstimate.take(mean, cov, rows)
-            try:
-                out = step(est, z_all[t, rows])
-            except _TRACK_STOPPERS:
-                pass
-            else:
-                write(step, out, rows)
-                continue
-            # Some lane left the filter's domain: each lane retakes the
-            # step alone from its slot, and one that stops again ends there.
-            for lane in np.arange(lanes_total)[rows].tolist():
-                est = GaussianEstimate.take(mean, cov, lane)
-                try:
-                    out = step(est, z_all[t, lane])
-                except _TRACK_STOPPERS as exc:
-                    alive[lane] = False
-                    n_alive -= 1
-                    run, trial = owner[lane]
-                    run.stop(trial, int(cursor[lane]) - base[lane], exc)
-                else:
-                    write(step, out, lane)
+            if (at := running(due, count, t)) is not None:
+                attempt(step, slots, slots, at, z_all[t, at], lane_ids, cursor)
+        # The store is a copy, which cannot leave the filter's domain.
+        if (at := running(has_row, stores, t)) is not None:
+            rows = cursor[at]
+            store[0][rows], store[1][rows] = mean[at], cov[at]
+            cursor[at] += 1
 
-    # Box every lane's stored rows, lane after lane, in blocks; a lane
-    # whose box fails ends at that row, so its later rows are skipped.
-    stored = np.concatenate([np.arange(b, c) for b, c in zip(base, cursor.tolist())])
-    stored_lane = np.repeat(np.arange(lanes_total), cursor - base_at)
+    # Box every lane's stored rows, lane after lane, in blocks; rows at or
+    # past their lane's end, after a box that failed, are skipped.
+    row_ids = np.arange(row_lane.size)
+    rows = row_ids[row_ids < end_row[row_lane]]
     size = max(_BOX_BLOCK, lanes_total)
-    for lo in range(0, stored.size, size):
-        at, lane = stored[lo : lo + size], stored_lane[lo : lo + size]
-        live = at < cursor[lane]
-        at, lane = at[live], lane[live]
-        if not at.size:
-            continue
-        try:
-            out = spec.box(GaussianEstimate.take(store[0], store[1], at), bundle)
-        except _TRACK_STOPPERS:
-            pass
-        else:
-            out.put(store[2], store[3], at)
-            continue
-        for row, one in zip(at.tolist(), lane.tolist()):
-            if row >= cursor[one]:
-                continue
-            try:
-                out = spec.box(GaussianEstimate.take(store[0], store[1], row), bundle)
-            except _TRACK_STOPPERS as exc:
-                cursor[one] = row
-                run, trial = owner[one]
-                run.stop(trial, row - base[one], exc)
-            else:
-                out.put(store[2], store[3], row)
+    for lo in range(0, rows.size, size):
+        at = rows[lo : lo + size]
+        at = at[at < end_row[row_lane[at]]]
+        if at.size:
+            attempt(box, store[:2], store[2:], at, None, row_lane, row_ids)
     return FilterPass(runs)
 
 
@@ -605,13 +561,14 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
     space, and every row must be tagged with that space.  The trials with
     rows are stacked in trial order; a file with no rows gives a stack of
     no trials.  Each trial's frames must begin the frames of the longest,
-    as a run writes them.  Every value must be finite, as a run writes it.
+    as a run writes them.  Every value must be finite and every row's
+    covariance valid for a ``GaussianEstimate``, as a run writes them.
     """
     frames: list[int] = []
     by_trial: dict[int, list[int]] = {}
     values = array("d")
     with open(path, "r", encoding="utf-8") as handle:
-        lines = (text for text in map(str.strip, handle) if text)
+        lines = (text for text in map(str.strip, text_lines(handle, path)) if text)
         first = next(lines, None)
         if first is None:
             raise ParseError(1, "empty estimates file", path)
@@ -641,18 +598,23 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
         raise ParseError(
             int(row) + 2, f"not a finite number: {str(table[row, col])!r}", path
         )
-    trial_rows = [rows for _, rows in sorted(by_trial.items())]
+    by_trial = dict(sorted(by_trial.items()))
+    trial_rows = list(by_trial.values())
     longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
     if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
         raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
     upper = np.triu_indices(n)
     means = np.zeros((len(trial_rows), len(longest), n))
     covs = np.zeros((len(trial_rows), len(longest), n, n))
-    for t, rows in enumerate(trial_rows):
+    for t, (trial, rows) in enumerate(by_trial.items()):
         means[t, : len(rows)] = table[rows, :n]
         block = covs[t, : len(rows)]
         block[:, upper[0], upper[1]] = table[rows, n:]
         block[:, upper[1], upper[0]] = table[rows, n:]
+        try:
+            GaussianEstimate(means[t, : len(rows)], block)
+        except InvalidEstimate as exc:
+            raise ParseError(None, f"trial {trial}: {exc}", path) from exc
     ends = np.array([len(rows) for rows in trial_rows], dtype=int)
     return space, TrialStack(longest, means, covs, ends)
 

@@ -351,7 +351,48 @@ def test_lane_stopping_at_box_stops_alone(monkeypatch, name):
     assert stopped.ends.tolist() == [1]
     assert not stopped.boxes.means[0, 1:].any() and not stopped.boxes.covs[0, 1:].any()
     for run in (passed.runs[0], passed.runs[2]):
-        assert run.failure is None and (run.ends == len(run.frames)).all()
+        assert run.failure is None and (run.ends == len(run.native.frames)).all()
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_update_stop_and_box_stop_in_one_pass(monkeypatch, name):
+    # Track 3 of ``walking_tracks`` carries two trials, and trial 1's
+    # detection at frame 5 lies far below the image, where the update
+    # refuses it: that lane ends at row 5.  The box refuses track 2 at its
+    # second row, as above.  In blocks of four rows, that row closes a
+    # block that starts with track 1's last two rows.  The update-stopped
+    # lane's five rows come after it and are still boxed.
+    update, box = STEP_FUNCTIONS["update"][name], BOX_FUNCTIONS[name]
+    originals = {attribute: getattr(pipeline, attribute) for attribute in (update, box)}
+
+    def refusing_update(est, z, *args):
+        if (z[..., 1] > 5000.0).any():
+            raise DepthNonPositive("past the y limit")
+        return originals[update](est, z, *args)
+
+    def refusing_box(est, *args):
+        if (est.mean[..., 0] > BOX_X_LIMIT[name]).any():
+            raise DepthNonPositive("past the x limit")
+        return originals[box](est, *args)
+
+    monkeypatch.setattr(pipeline, update, refusing_update)
+    monkeypatch.setattr(pipeline, box, refusing_box)
+    monkeypatch.setattr(pipeline, "_BOX_BLOCK", 3)
+    tracks = walking_tracks()
+    detections = [real_detections(one) for one in tracks]
+    detected, z = detections[2]
+    z = np.concatenate([z, z + 0.25])
+    z[1, 5, 1] = 9000.0
+    detections[2] = (detected, z)
+    passed = run_filter(tracks, detections, BUNDLE, name)
+    for one, (detected, z), run in zip(tracks, detections, passed.runs):
+        for trial, lane in enumerate(z):
+            assert_rows_match(run, trial, lane_alone(one, detected, lane, name))
+    assert passed.runs[0].failures == [None]
+    assert passed.runs[1].failures == ["DepthNonPositive: past the x limit"]
+    assert passed.runs[2].failures == [None, "DepthNonPositive: past the y limit"]
+    assert [run.ends.tolist() for run in passed.runs] == [[10], [1], [10, 5]]
+    assert passed.runs[2].boxes.covs[1, :5].any(axis=(1, 2)).all()
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
@@ -448,7 +489,7 @@ def test_multi_track_pass_matches_lone_passes(name):
     passed = run_filter(tracks, detections, BUNDLE, name)
     assert len(passed.runs) == len(tracks)
     for track, (detected, z), run in zip(tracks, detections, passed.runs):
-        assert run.frames == track.frames[detected[0] :]
+        assert run.native.frames == track.frames[detected[0] :]
         for trial, lane in enumerate(z):
             assert_rows_match(run, trial, lane_alone(track, detected, lane, name))
     failures = [run.failure for run in passed.runs]

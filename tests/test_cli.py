@@ -386,6 +386,59 @@ def test_evaluate_rejects_malformed_estimates(
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_an_invalid_covariance(synthetic_sequence, tmp_path, capsys):
+    # Both trials' frame-0 covariances negated: the file is refused as it
+    # is read, with one error line naming it, before anything is scored.
+    out = tmp_path / "results"
+    run = ["run"] + seq_args(synthetic_sequence, out)
+    assert main(run + ["--trials", "2", "--seed", "1", "--filter", "kf2d"]) == 0
+    path = out / "SYN-01_id1_kf2d_estimates_bb.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows):
+        fields = row.split(",")
+        if fields[1] == "0":
+            fields[8:] = [str(-float(value)) for value in fields[8:]]
+            rows[i] = ",".join(fields)
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["evaluate"] + seq_args(synthetic_sequence, tmp_path / "eval")
+    assert main(args + ["--estimates", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: trial 0: covariance is not positive semidefinite\n"
+    )
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("reader", ["annotations", "estimates", "seqinfo", "config"])
+def test_non_utf8_input_exits_1(synthetic_sequence, tmp_path, capsys, reader):
+    # A 0xff byte in any file a command reads is an input error that
+    # names the file, not a traceback.
+    seq_dir = tmp_path / "seq"
+    shutil.copytree(synthetic_sequence.seq_dir, seq_dir)
+    out = tmp_path / "results"
+    args = ["inspect", "--seq", str(seq_dir), "--out", str(out)]
+    if reader == "annotations":
+        path = seq_dir / "gt" / "gt.txt"
+    elif reader == "seqinfo":
+        path = seq_dir / "seqinfo.ini"
+    elif reader == "config":
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\n", encoding="utf-8")
+        args += ["--config", str(path)]
+    else:
+        assert main(["run"] + args[1:] + ["--filter", "kf2d"]) == 0
+        path = out / "SYN-01_id1_kf2d_estimates_bb.csv"
+        args = ["evaluate"] + args[1:] + ["--estimates", str(path)]
+    # A last line holding a byte that is not UTF-8.
+    path.write_bytes(path.read_bytes() + b"; \xff\n")
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "0xff" in err
+
+
 def test_evaluate_requires_single_track(synthetic_sequence, tmp_path, capsys):
     # Two tracks in the annotation file: evaluate insists on --track-id.
     gt_rows = parse_mot_file(synthetic_sequence.gt_path, "annotation")

@@ -101,7 +101,7 @@ def test_run_filter_without_detections_records_failure(
     track = synthetic_sequence.track(with_detections=False)
     run = real_run(track, synthetic_bundle, "kf2d")
     assert run.failure is not None
-    assert not run.frames and run.ends.tolist() == [0]
+    assert not run.native.frames and run.ends.tolist() == [0]
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
@@ -109,7 +109,7 @@ def test_run_filter_covers_every_frame(synthetic_sequence, synthetic_bundle, nam
     track = synthetic_sequence.track()
     run = real_run(track, synthetic_bundle, name)
     assert run.failure is None
-    assert run.frames == track.frames
+    assert run.native.frames == track.frames
     assert run.ends.tolist() == [len(track.frames)]
     assert run.native.means.shape[:2] == run.boxes.means.shape[:2]
     assert run.native.means.shape[:2] == (1, len(track.frames))
@@ -138,7 +138,7 @@ def test_annotation_gaps_advance_by_one_step_per_frame():
     bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
     z = np.array([[box.as_vector() for box in boxes]])
     (run,) = run_filter([track], [([0, 1, 2], z)], bundle, "kf2d").runs
-    assert run.frames == [0, 1, 4]
+    assert run.native.frames == [0, 1, 4]
     # Three prediction steps bridge the gap from frame 1 to frame 4.
     m2 = bundle.model2d
     expected = estimate_at(run.native, 1)
@@ -439,7 +439,7 @@ def test_estimates_csv_round_trips_exactly(
     (run,) = run_filter([track], [detections], synthetic_bundle, "ukf3d").runs
     space, stack = read_estimates_csv(tmp_path / "SYN-01_id1_ukf3d_estimates_3d.csv")
     assert space == "3d"
-    assert stack.frames == run.frames
+    assert stack.frames == run.native.frames
     assert np.array_equal(stack.ends, run.ends)
     assert np.array_equal(stack.means, run.native.means)
     assert np.array_equal(stack.covs, run.native.covs)
