@@ -46,7 +46,8 @@ class InvalidEstimate(EstimationError, ValueError):
 
 
 class SingularCovariance(EstimationError):
-    """A reported covariance cannot be factorized for a solve."""
+    """A reported covariance cannot be factorized for a solve, or gives a
+    negative normalized error squared."""
 
 
 class EmptyTrack(EstimationError):

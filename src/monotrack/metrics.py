@@ -12,19 +12,29 @@ pessimistic.  If the errors truly follow the reported Gaussians, M n
 times the ANEES is a chi-square variable with M n degrees of freedom.
 Covariances enter through a factorized solve, never an explicit inverse.
 
-``evaluate_track`` holds the rule that decides which trials and frames
-of a stack of trials are scored, and scores them.
+A stack of trials stores each estimate as one packed row: the mean's n
+entries, then the covariance's row-major upper triangle, the numeric
+columns of an estimates file.  ``packed_layout`` defines where each
+entry sits, ``pack`` and ``unpack`` convert, and ``evaluate_track``
+holds the rule that decides which trials and frames of a stack are
+scored, and scores them, gathering a bounded number of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, FrameMisalignment, SingularCovariance
+
+# Most (frame, trial) rows ``evaluate_track`` gathers and scores in one
+# stacked call.  Set by measurement: it bounds the memory of scoring a
+# large stack, and it keeps one call per track up to 600 frames at M = 6.
+_SCORE_BLOCK = 4096
 
 
 def rmse(truth: np.ndarray, means: np.ndarray) -> float | np.ndarray:
@@ -55,7 +65,9 @@ def anees(
     """Average normalized estimation error squared of M (mean, cov) pairs.
 
     Like ``rmse``, a (K, n) truth with (K, M, n) means and (K, M, n, n)
-    covariances gives the K per-frame values.
+    covariances gives the K per-frame values.  A singular covariance, or
+    a negative value (a covariance that is not positive definite), raises
+    ``SingularCovariance``.
     """
     truth = np.asarray(truth, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -81,6 +93,11 @@ def anees(
     # single frame would take it.
     products = (errors * solved).reshape(*lead, m * n)
     values = np.sum(products, axis=-1) / (m * n)
+    if np.any(values < 0):
+        raise SingularCovariance(
+            "a reported covariance is not positive definite: "
+            "the normalized error squared is negative"
+        )
     return float(values) if truth.ndim == 1 else values
 
 
@@ -121,19 +138,59 @@ class EvalSeries:
         return (ordered[mid - 1] + ordered[mid]) / 2
 
 
+@lru_cache(maxsize=None)
+def packed_layout(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Where an n-state estimate's entries sit in a packed row.
+
+    A packed row holds the mean's n entries, then the covariance's
+    row-major upper triangle: column n + c holds the entry ``(i[c],
+    j[c])`` of the first result, ``(i, j)``.  The second result maps
+    each entry (i, j), and so (j, i), to its column.  Both are read-only.
+    """
+    upper = np.triu_indices(n)
+    columns = np.empty((n, n), dtype=np.intp)
+    columns[upper] = columns[upper[::-1]] = n + np.arange(upper[0].size)
+    for index in (*upper, columns):
+        index.setflags(write=False)
+    return upper, columns
+
+
+def _state_dim(width: int) -> int:
+    """The n of a packed row of ``width`` = n + n (n + 1) / 2 columns."""
+    return (math.isqrt(9 + 8 * width) - 3) // 2
+
+
+def pack(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Packed rows of (..., n) means and (..., n, n) covariances.
+
+    Only each covariance's upper triangle is read, so a row unpacks to
+    its estimate bit for bit when the covariance is exactly symmetric,
+    as every covariance a filter step emits is.
+    """
+    (i, j), _ = packed_layout(means.shape[-1])
+    return np.concatenate([means, covs[..., i, j]], axis=-1)
+
+
+def unpack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., n) means and (..., n, n) covariances of packed rows; the
+    means are a view."""
+    n = _state_dim(values.shape[-1])
+    return values[..., :n], values[..., packed_layout(n)[1]]
+
+
 @dataclass(frozen=True)
 class TrialStack:
-    """Estimates of M trials along a track, one row per frame.
+    """Estimates of M trials along a track, one packed row per frame.
 
-    ``means`` is (M, K, n) and ``covs`` (M, K, n, n); row k of every
-    trial belongs to frame ``frames[k]``.  Trial t holds its first
-    ``ends[t]`` rows: a trial that stopped early leaves the rows after
-    its end undefined, and one with end 0 has no estimates.
+    ``values`` is (M, K, n + n (n + 1) / 2), laid out as ``packed_layout``
+    says; row k of every trial belongs to frame ``frames[k]``.  Trial t
+    holds its first ``ends[t]`` rows: a trial that stopped early leaves
+    the rows after its end undefined, and one with end 0 has no
+    estimates.
     """
 
     frames: list[int]
-    means: np.ndarray
-    covs: np.ndarray
+    values: np.ndarray
     ends: np.ndarray
 
 
@@ -151,10 +208,13 @@ def evaluate_track(
     are the r state rows compared with the truth.  Trials with no rows
     are left out; of the rest, only the frames that every trial holds
     are scored, so the trial count stays constant, and the other frames
-    are counted in ``n_skipped``.  The scored rows are gathered from the
-    stack into (K', M', r) means and (K', M', r, r) covariances,
-    frame-major and contiguous as a per-frame stack of the trials is,
-    and scored with one stacked ``rmse`` and one stacked ``anees`` call.
+    are counted in ``n_skipped``.  The scored rows' entries are gathered
+    from the packed stack into (K', M', r) means and (K', M', r, r)
+    covariances, frame-major and contiguous as a per-frame stack of the
+    trials is, and scored with one stacked ``rmse`` and one stacked
+    ``anees`` call per block of at most ``_SCORE_BLOCK`` (frame, trial)
+    rows (at least one frame).  Every frame's values are those of a call
+    on that frame alone, so the blocks change no value.
     """
     k = len(truths)
     if len(frames) != k:
@@ -172,16 +232,23 @@ def evaluate_track(
                 "consecutive frames of the track"
             )
         stop = int(stack.ends[live].min())
-        # Index arrays that broadcast to (K', M', r) and (K', M', r, r):
-        # one gather each, with no copy of the stack before it.
-        trial = live[None, :, None]
-        row = np.arange(stop)[:, None, None]
         picked = np.asarray(rows)
-        means = stack.means[trial, row, picked]
-        covs = stack.covs[trial[..., None], row[..., None], picked[:, None], picked]
+        columns = packed_layout(_state_dim(stack.values.shape[-1]))[1]
+        columns = columns[picked[:, None], picked]
         truth = np.asarray(truths, dtype=float)[start : start + stop]
-        rmse_values = rmse(truth, means)
-        anees_values = anees(truth, means, covs)
+        # Index arrays that broadcast to (B, M', r) and (B, M', r, r): one
+        # gather each per block, with no copy of the stack before it.
+        trial = live[None, :, None]
+        size = max(1, _SCORE_BLOCK // live.size)
+        rmse_parts, anees_parts = [], []
+        for lo in range(0, stop, size):
+            row = np.arange(lo, min(lo + size, stop))[:, None, None]
+            means = stack.values[trial, row, picked]
+            covs = stack.values[trial[..., None], row[..., None], columns]
+            rmse_parts.append(rmse(truth[lo : lo + size], means))
+            anees_parts.append(anees(truth[lo : lo + size], means, covs))
+        rmse_values = np.concatenate(rmse_parts)
+        anees_values = np.concatenate(anees_parts)
     scored = tuple(frames[start : start + stop])
     skipped = k - stop
     return (

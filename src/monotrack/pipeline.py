@@ -20,8 +20,12 @@ slot, one row of the pass's stacked mean and covariance arrays, and a
 schedule built once per pass says which lanes predict, update,
 initialize and store at each frame.  Each step of a frame is one call
 of the filter on the stack of its lanes' slots, taken as one slice
-while every lane runs and takes the step; then the store copies each
-storing lane's slot into its next row.
+while every lane runs and takes the step; then the store packs each
+storing lane's slot into its next row.  A stored row is packed as the
+estimates file's numeric columns are laid out: the mean, then the
+covariance's row-major upper triangle (``metrics.packed_layout``).
+Every covariance a step emits is exactly symmetric, so a row unpacks to
+its estimate bit for bit.
 
 A lane ends in one way: it has an end row, and it runs while its next
 row is below it.  When a stacked step leaves the filter's domain (for
@@ -29,23 +33,30 @@ example, a sigma point falling behind the camera), each of its lanes
 retakes the step alone; one that fails again ends at its next row,
 keeping its estimates up to the frame before, and the other lanes go
 on.  A copy cannot leave the domain.  No step reads a box, so after the
-frame loop each lane's stored rows are mapped to box space, lane after
-lane, in blocks of at most max(64, L) rows for a pass of L lanes, under
-the same rule: a row that fails alone ends its lane at that row, and
-the lane's later rows are not boxed.  That lane's native steps after
-the row have run, so an error other than a domain error in one of them
-still ends the run.  Each lane's rows are bit for bit those of a run of
-that lane alone.  Frames that some trial of a track did not reach are
-excluded from that track's metrics and counted as skipped;
-``metrics.evaluate_track`` applies this rule to a pass's stack of trials
-or to one read back from its file.
+frame loop each lane's stored rows are unpacked, mapped to box space
+and packed again, lane after lane, in blocks of at most max(64, L) rows
+for a pass of L lanes, under the same rule: a row that fails alone
+ends its lane at that row, and the lane's later rows are not boxed.
+That lane's native steps after the row have run, so an error other
+than a domain error in one of them still ends the run.  Each lane's
+rows are bit for bit those of a run of that lane alone.  Frames that
+some trial of a track did not reach are excluded from that track's
+metrics and counted as skipped; ``metrics.evaluate_track`` applies this
+rule to a pass's stack of trials or to one read back from its file.
 
 Any other error escapes the pass and ends the run; the files written
 before it stay.  ``run_track`` runs a group: it scores each filter's
 pass and writes its estimates files as the pass ends, and the metrics
 and summary files once every pass of the group has run.  The estimates
 format is defined here once, for ``write_estimates_csv`` and
-``read_estimates_csv`` alike.
+``read_estimates_csv`` alike: its numeric columns are a stack's packed
+rows, so the writer formats each row straight from the stack and the
+reader fills a stack with the rows it parses.
+
+A run's memory is bounded by one pass: its stored rows, n + n (n + 1) / 2
+native and 14 box doubles each (58 for an 8-state filter), and its
+per-frame detections and schedule.  Scoring gathers a bounded block of
+rows at a time, and the writer holds one row's text.
 """
 
 from __future__ import annotations
@@ -83,7 +94,7 @@ from .filters import (
     ukf_predict,
     ukf_update,
 )
-from .metrics import EvalSeries, TrialStack, evaluate_track
+from .metrics import EvalSeries, TrialStack, evaluate_track, pack, packed_layout, unpack
 from .models import (
     MEASURED_ROWS,
     BoTParams,
@@ -211,8 +222,8 @@ FILTER_NAMES = tuple(FILTERS)
 class FilterRun:
     """One filter's run over one track's M trials' detections.
 
-    ``native`` and ``boxes`` hold the estimates in the filter's own space
-    and in box space; they share their frames and per-trial ends.
+    ``native`` and ``boxes`` hold the packed estimates in the filter's own
+    space and in box space; they share their frames and per-trial ends.
     ``failures[t]`` says why trial t stopped early, or is None.
     """
 
@@ -289,15 +300,15 @@ def run_filter(
     starts = [detected[0] if len(detected) else None for detected, _ in detections]
     sizes = [len(z) for _, z in detections]
     counts = [0 if s is None else len(t.frames) - s for t, s in zip(tracks, starts)]
-    # Every lane's rows, one block of M lanes per track, in track order;
-    # each run's stacks are views of its block.
+    # Every lane's packed rows, native and boxed, one block of M lanes per
+    # track, in track order; each run's stacks are views of its block.
     offsets = np.cumsum([0] + [m * k for m, k in zip(sizes, counts)]).tolist()
-    store = [np.zeros((offsets[-1],) + shape) for shape in ((n,), (n, n), (4,), (4, 4))]
+    store = [np.zeros((offsets[-1], d + packed_layout(d)[0][0].size)) for d in (n, 4)]
     runs: list[FilterRun] = []
     for g, (track, m, k) in enumerate(zip(tracks, sizes, counts)):
-        views = [a[offsets[g] : offsets[g + 1]].reshape((m, k) + a.shape[1:]) for a in store]
+        views = [a[offsets[g] : offsets[g + 1]].reshape(m, k, a.shape[1]) for a in store]
         frames, ends = (list(track.frames[starts[g] :]) if k else []), np.full(m, k)
-        native, boxes = (TrialStack(frames, *views[i : i + 2], ends) for i in (0, 2))
+        native, boxes = (TrialStack(frames, view, ends) for view in views)
         failures = [None if k else "no detections to initialize from"] * m
         runs.append(FilterRun(filter_name, native, boxes, failures))
     joined = [g for g, k in enumerate(counts) if k]
@@ -395,14 +406,14 @@ def run_filter(
         for step, due, count in schedule:
             if (at := running(due, count, t)) is not None:
                 attempt(step, slots, slots, at, z_all[t, at], lane_ids, cursor)
-        # The store is a copy, which cannot leave the filter's domain.
+        # The store packs a copy, which cannot leave the filter's domain.
         if (at := running(has_row, stores, t)) is not None:
-            rows = cursor[at]
-            store[0][rows], store[1][rows] = mean[at], cov[at]
+            store[0][cursor[at]] = pack(mean[at], cov[at])
             cursor[at] += 1
 
-    # Box every lane's stored rows, lane after lane, in blocks; rows at or
-    # past their lane's end, after a box that failed, are skipped.
+    # Box every lane's stored rows, lane after lane, in blocks: unpack a
+    # block, box it and pack the boxes.  Rows at or past their lane's end,
+    # after a box that failed, are skipped and left zero.
     row_ids = np.arange(row_lane.size)
     rows = row_ids[row_ids < end_row[row_lane]]
     size = max(_BOX_BLOCK, lanes_total)
@@ -410,7 +421,9 @@ def run_filter(
         at = rows[lo : lo + size]
         at = at[at < end_row[row_lane[at]]]
         if at.size:
-            attempt(box, store[:2], store[2:], at, None, row_lane, row_ids)
+            boxed = np.zeros((at.size, 4)), np.zeros((at.size, 4, 4))
+            attempt(box, unpack(store[0][at]), boxed, slice(None), None, row_lane[at], at)
+            store[1][at] = pack(*boxed)
     return FilterPass(runs)
 
 
@@ -519,13 +532,14 @@ def run_track(
 
 def _estimates_header(space: str) -> str:
     """The header line of an estimates file of ``space``: trial, k, frame
-    and space, then the mean and the row-major upper-triangle covariance."""
+    and space, then the columns of a packed row, the mean and the
+    row-major upper-triangle covariance."""
     names = SPACES[space].names
-    n = len(names)
+    upper, _ = packed_layout(len(names))
     return ",".join(
         ["trial", "k", "frame", "space"]
         + [f"mean_{name}" for name in names]
-        + [f"cov_{i}_{j}" for i in range(n) for j in range(i, n)]
+        + [f"cov_{i}_{j}" for i, j in zip(*upper)]
     )
 
 
@@ -534,23 +548,19 @@ def write_estimates_csv(
 ) -> None:
     """Per-trial, per-frame means and row-major upper-triangle covariances.
 
-    Rows are formatted and written one trial at a time, so the text in
-    memory stays bounded by the longest trial.
+    A stack's packed rows are the file's numeric columns, so each row is
+    formatted and written alone, straight from the stack, and the text
+    and numbers in memory stay bounded by one row.
     """
-    upper = np.triu_indices(len(SPACES[space].names))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_estimates_header(space) + "\n")
         for trial, end in enumerate(stack.ends.tolist()):
-            if not end:
-                continue
-            covs = stack.covs[trial, :end]
-            values = np.concatenate(
-                [stack.means[trial, :end], covs[:, upper[0], upper[1]]], axis=1
-            )
             handle.writelines(
                 f"{trial},{frame},{track.first_frame + frame},{space},"
                 f"{format_floats(row)}\n"
-                for frame, row in zip(stack.frames, values.tolist())
+                for frame, row in zip(
+                    stack.frames, map(np.ndarray.tolist, stack.values[trial, :end])
+                )
             )
 
 
@@ -563,21 +573,23 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
     no trials.  Each trial's frames must begin the frames of the longest,
     as a run writes them.  Every value must be finite and every row's
     covariance valid for a ``GaussianEstimate``, as a run writes them.
+    Blank lines are skipped, and an error names its physical line.
     """
     frames: list[int] = []
+    line_numbers = array("q")
     by_trial: dict[int, list[int]] = {}
     values = array("d")
     with open(path, "r", encoding="utf-8") as handle:
-        lines = (text for text in map(str.strip, text_lines(handle, path)) if text)
-        first = next(lines, None)
-        if first is None:
+        numbered = enumerate(map(str.strip, text_lines(handle, path)), start=1)
+        lines = ((lineno, text) for lineno, text in numbered if text)
+        lineno, first = next(lines, (1, ""))
+        if not first:
             raise ParseError(1, "empty estimates file", path)
         space = next((s for s in SPACES if _estimates_header(s) == first), None)
         if space is None:
-            raise ParseError(1, f"unrecognized estimates header: {first}", path)
-        n = len(SPACES[space].names)
+            raise ParseError(lineno, f"unrecognized estimates header: {first}", path)
         width = len(first.split(","))
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in lines:
             fields = line.split(",")
             if len(fields) != width:
                 raise ParseError(lineno, f"expected {width} fields, got {len(fields)}", path)
@@ -591,32 +603,28 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
                 raise ParseError(lineno, str(exc), path) from exc
             by_trial.setdefault(trial, []).append(len(frames))
             frames.append(k)
+            line_numbers.append(lineno)
     table = np.frombuffer(values, dtype=float).reshape(len(frames), width - 4)
     finite = np.isfinite(table)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ParseError(
-            int(row) + 2, f"not a finite number: {str(table[row, col])!r}", path
+            line_numbers[row], f"not a finite number: {str(table[row, col])!r}", path
         )
     by_trial = dict(sorted(by_trial.items()))
     trial_rows = list(by_trial.values())
     longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
     if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
         raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
-    upper = np.triu_indices(n)
-    means = np.zeros((len(trial_rows), len(longest), n))
-    covs = np.zeros((len(trial_rows), len(longest), n, n))
+    stacked = np.zeros((len(trial_rows), len(longest), width - 4))
     for t, (trial, rows) in enumerate(by_trial.items()):
-        means[t, : len(rows)] = table[rows, :n]
-        block = covs[t, : len(rows)]
-        block[:, upper[0], upper[1]] = table[rows, n:]
-        block[:, upper[1], upper[0]] = table[rows, n:]
+        stacked[t, : len(rows)] = table[rows]
         try:
-            GaussianEstimate(means[t, : len(rows)], block)
+            GaussianEstimate(*unpack(stacked[t, : len(rows)]))
         except InvalidEstimate as exc:
             raise ParseError(None, f"trial {trial}: {exc}", path) from exc
     ends = np.array([len(rows) for rows in trial_rows], dtype=int)
-    return space, TrialStack(longest, means, covs, ends)
+    return space, TrialStack(longest, stacked, ends)
 
 
 def write_metrics_csv(

@@ -18,6 +18,7 @@ from monotrack import pipeline
 from monotrack.dataio import BoundingBox, TrackSequence
 from monotrack.exceptions import DepthNonPositive, DimensionMismatch
 from monotrack.filters import GaussianEstimate
+from monotrack.metrics import pack, unpack
 from monotrack.models import (
     MEASURED_ROWS,
     bot_measurement_noise,
@@ -191,10 +192,10 @@ def assert_rows_match(run, trial: int, alone) -> None:
     assert run.ends[trial] == end
     assert run.failures[trial] == failure
     for space, pick in ((FILTERS[run.filter_name].space, 0), ("bb", 1)):
-        stack = run.estimates(space)
+        means, covs = unpack(run.estimates(space).values[trial])
         for row, pair in enumerate(stored):
-            assert same_bits(stack.means[trial, row], pair[pick].mean)
-            assert same_bits(stack.covs[trial, row], pair[pick].cov)
+            assert same_bits(means[row], pair[pick].mean)
+            assert same_bits(covs[row], pair[pick].cov)
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
@@ -207,6 +208,32 @@ def test_run_filter_matches_lone_trial_runs(synthetic_sequence, name):
     assert passed.failure is None
     for trial, lane in enumerate(z):
         assert_rows_match(passed.runs[0], trial, lane_alone(track, detected, lane, name))
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_every_stored_covariance_is_symmetric(monkeypatch, synthetic_sequence, name):
+    # Every covariance a pass packs, native or boxed, is exactly symmetric
+    # and unpacks to itself bit for bit, so a stored row loses nothing.
+    packed: list[int] = []
+
+    def checked_pack(means, covs):
+        assert same_bits(covs, covs.swapaxes(-1, -2))
+        values = pack(means, covs)
+        back_means, back_covs = unpack(values)
+        assert same_bits(back_means, means) and same_bits(back_covs, covs)
+        packed.append(len(values))
+        return values
+
+    monkeypatch.setattr(pipeline, "pack", checked_pack)
+    track = synthetic_sequence.track()
+    mask = tuple(box is not None for box in track.detections)
+    detected = [i for i, kept in enumerate(mask) if kept]
+    z = simulate_detections(track, SimConfig(5, 17, BUNDLE.model2d.R, mask))
+    passed = run_filter([track], [(detected, z)], BUNDLE, name)
+    assert passed.failure is None
+    # Each frame's store and each box block: five rows per frame, boxed
+    # in blocks of 64 rows.
+    assert sum(packed) == 2 * 5 * len(track.frames)
 
 
 def test_trial_behind_camera_stops_alone():
@@ -349,7 +376,7 @@ def test_lane_stopping_at_box_stops_alone(monkeypatch, name):
     stopped = passed.runs[1]
     assert stopped.failures == ["DepthNonPositive: past the x limit"]
     assert stopped.ends.tolist() == [1]
-    assert not stopped.boxes.means[0, 1:].any() and not stopped.boxes.covs[0, 1:].any()
+    assert not stopped.boxes.values[0, 1:].any()
     for run in (passed.runs[0], passed.runs[2]):
         assert run.failure is None and (run.ends == len(run.native.frames)).all()
 
@@ -392,7 +419,7 @@ def test_update_stop_and_box_stop_in_one_pass(monkeypatch, name):
     assert passed.runs[1].failures == ["DepthNonPositive: past the x limit"]
     assert passed.runs[2].failures == [None, "DepthNonPositive: past the y limit"]
     assert [run.ends.tolist() for run in passed.runs] == [[10], [1], [10, 5]]
-    assert passed.runs[2].boxes.covs[1, :5].any(axis=(1, 2)).all()
+    assert unpack(passed.runs[2].boxes.values[1, :5])[1].any(axis=(1, 2)).all()
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)
@@ -418,7 +445,7 @@ def test_box_block_size_changes_no_row(monkeypatch, name):
         for mine, ref in zip(other, runs[1]):
             assert mine.failures == ref.failures and mine.ends.tolist() == ref.ends.tolist()
             for a, b in ((mine.native, ref.native), (mine.boxes, ref.boxes)):
-                assert same_bits(a.means, b.means) and same_bits(a.covs, b.covs), size
+                assert same_bits(a.values, b.values), size
 
 
 @pytest.mark.parametrize("name", FILTER_NAMES)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monotrack import pipeline
 from monotrack.cli import _KEY_FLAGS, _build_parser, _config_from_args, main
 from monotrack.config import RunConfig
 from monotrack.dataio import (
@@ -24,6 +25,7 @@ from monotrack.dataio import (
     write_mot_file,
 )
 from monotrack.exceptions import ConfigError
+from monotrack.filters import GaussianEstimate
 
 from conftest import DROPPED_FRAMES, N_FRAMES
 
@@ -408,6 +410,60 @@ def test_evaluate_rejects_an_invalid_covariance(synthetic_sequence, tmp_path, ca
         f"error: {path}: trial 0: covariance is not positive semidefinite\n"
     )
     assert not (tmp_path / "eval").exists()
+
+
+def slightly_indefinite(cov: np.ndarray) -> np.ndarray:
+    """``cov`` with its smallest eigenvalue set to -1e-10 times the rest's
+    sum: inside the estimate check's -1e-9 x trace tolerance, yet not
+    positive definite."""
+    w, v = np.linalg.eigh(cov)
+    w[0] = -1e-10 * w[1:].sum()
+    out = (v * w) @ v.T
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run"])
+def test_negative_normalized_error_exits_1(
+    monkeypatch, synthetic_sequence, tmp_path, capsys, command
+):
+    # Box covariances that pass the estimate check but are indefinite give
+    # a negative ANEES: frame 0's in a file that ``evaluate`` reads, or
+    # every one a run's patched box step emits.  Each is an input error
+    # with one error line, not a traceback.
+    out = tmp_path / "results"
+    run = ["run"] + seq_args(synthetic_sequence, out)
+    run += ["--trials", "2", "--seed", "1", "--filter", "kf2d"]
+    if command == "evaluate":
+        assert main(run) == 0
+        path = out / "SYN-01_id1_kf2d_estimates_bb.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        upper = np.triu_indices(4)
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if fields[1] == "0":
+                cov = np.zeros((4, 4))
+                cov[upper] = cov[upper[::-1]] = [float(value) for value in fields[8:]]
+                fields[8:] = map(repr, slightly_indefinite(cov)[upper].tolist())
+                rows[i] = ",".join(fields)
+        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        argv = ["evaluate"] + seq_args(synthetic_sequence, tmp_path / "eval")
+        argv += ["--estimates", str(path)]
+    else:
+        original = pipeline.linear_box_estimate
+
+        def indefinite_box(est):
+            box = original(est)
+            covs = [slightly_indefinite(cov) for cov in box.cov.reshape(-1, 4, 4)]
+            return GaussianEstimate(box.mean, np.reshape(covs, box.cov.shape))
+
+        monkeypatch.setattr(pipeline, "linear_box_estimate", indefinite_box)
+        argv = run
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: a reported covariance is not positive definite: "
+        "the normalized error squared is negative\n"
+    )
 
 
 @pytest.mark.parametrize("reader", ["annotations", "estimates", "seqinfo", "config"])

@@ -28,7 +28,10 @@ from monotrack.metrics import (
     TrialStack,
     anees,
     evaluate_track,
+    pack,
+    packed_layout,
     rmse,
+    unpack,
 )
 
 
@@ -187,7 +190,39 @@ def _stack(means, covs, ends, frames=None):
     """A ``TrialStack`` of (M, K, n) means and (M, K, n, n) covariances,
     at frames 0..K-1 unless ``frames`` are given."""
     frames = list(range(means.shape[1])) if frames is None else frames
-    return TrialStack(frames, means, covs, np.asarray(ends))
+    return TrialStack(frames, pack(means, covs), np.asarray(ends))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    lead=st.integers(1, 3),
+    data=st.data(),
+)
+def test_pack_then_unpack_is_the_identity(n, lead, data):
+    # Symmetric covariances unpack bit for bit, -0.0 entries included,
+    # and a packed row is the mean, then the row-major upper triangle.
+    entries = st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0])
+    width = n + n * (n + 1) // 2
+    values = np.array(data.draw(st.lists(entries, min_size=lead * width, max_size=lead * width)))
+    means = values[: lead * n].reshape(lead, n)
+    covs = np.empty((lead, n, n))
+    upper = values[lead * n :].reshape(lead, -1)
+    for i, (a, b) in enumerate(zip(*np.triu_indices(n))):
+        covs[:, a, b] = covs[:, b, a] = upper[:, i]
+    packed = pack(means, covs)
+    assert packed.shape == (lead, width)
+    assert packed.tobytes() == np.concatenate([means, upper], axis=1).tobytes()
+    back_means, back_covs = unpack(packed)
+    assert back_means.tobytes() == means.tobytes()
+    assert back_covs.tobytes() == covs.tobytes()
+
+
+def test_packed_layout_maps_each_entry_to_its_column():
+    (i, j), columns = packed_layout(3)
+    assert i.tolist() == [0, 0, 0, 1, 1, 2] and j.tolist() == [0, 1, 2, 1, 2, 2]
+    assert columns.tolist() == [[3, 4, 5], [4, 6, 7], [5, 7, 8]]
+    assert not columns.flags.writeable
 
 
 def test_evaluate_track_perfect():
@@ -255,6 +290,7 @@ def test_evaluate_track_batched_equals_per_frame_bitwise(m, n):
     ends = [6] + [k - 1] * (m - 1) + [0]
     frames = [10 * i for i in range(k)]
     stack = _stack(means, covs, ends, frames[1:])
+    means, covs = unpack(stack.values)
     rmse_series, anees_series = evaluate_track(
         truths, frames, stack, tuple(range(n)), "bb"
     )
@@ -283,9 +319,9 @@ def test_evaluate_track_3d_rows_equal_single_frame_calls_bitwise():
     ends = np.array([k, 6, k, 0, k])
     means[1, 6:] = covs[1, 6:] = np.nan
     means[3] = covs[3] = np.nan
-    rmse_series, anees_series = evaluate_track(
-        truths, list(range(k)), _stack(means, covs, ends), rows, "3d"
-    )
+    stack = _stack(means, covs, ends)
+    means, covs = unpack(stack.values)
+    rmse_series, anees_series = evaluate_track(truths, list(range(k)), stack, rows, "3d")
     assert rmse_series.frames == tuple(range(6))
     assert rmse_series.n_trials == 4 and rmse_series.n_skipped == 3
     for frame, r, v in zip(rmse_series.frames, rmse_series.values, anees_series.values):
@@ -296,6 +332,38 @@ def test_evaluate_track_3d_rows_equal_single_frame_calls_bitwise():
         )
         assert r == rmse(truths[frame], hand_means)
         assert v == anees(truths[frame], hand_means, hand_covs)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, 13])
+def test_evaluate_track_blocks_change_no_value(monkeypatch, block):
+    # Four trials over nine frames: trial 1 stops after row 6 and trial 3
+    # has no rows.  Scored at most ``block`` (frame, trial) rows at a
+    # time (one frame at least), every series is bitwise the one-block
+    # result.
+    rng = np.random.default_rng(block)
+    m, k, rows = 4, 9, (0, 2, 4, 6, 7)
+    truths = rng.standard_normal((k, 5)) * 10.0
+    a = rng.standard_normal((m, k, 8, 8))
+    means = rng.standard_normal((m, k, 8)) * 10.0
+    stack = _stack(means, a @ a.swapaxes(-1, -2) + 0.1 * np.eye(8), [k, 6, k, 0])
+    whole = evaluate_track(truths, list(range(k)), stack, rows, "3d")
+    calls = []
+    monkeypatch.setattr(metrics, "_SCORE_BLOCK", block)
+    monkeypatch.setattr(metrics, "rmse", lambda *args: calls.append(1) or rmse(*args))
+    blocked = evaluate_track(truths, list(range(k)), stack, rows, "3d")
+    assert len(calls) == -(-6 // max(1, block // 3))
+    for one, ref in zip(blocked, whole):
+        assert one.frames == ref.frames == tuple(range(6))
+        assert one.values.tobytes() == ref.values.tobytes()
+        assert (one.n_trials, one.n_skipped) == (ref.n_trials, ref.n_skipped) == (3, 3)
+
+
+def test_anees_rejects_a_negative_value():
+    # A covariance with a tiny negative eigenvalue passes the estimate
+    # check but gives a negative normalized error squared.
+    cov = np.diag([4.0, -1e-10])
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        anees(np.zeros(2), np.array([[1.0, 1.0]]), cov[None])
 
 
 def test_batched_metrics_reject_mismatch():

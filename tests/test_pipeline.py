@@ -13,6 +13,8 @@ import gc
 import importlib
 import importlib.util
 import json
+import re
+import tracemalloc
 import weakref
 import os
 import subprocess
@@ -27,9 +29,9 @@ import pytest
 from monotrack import pipeline
 from monotrack.cli import main
 from monotrack.dataio import BoundingBox, TrackSequence
-from monotrack.exceptions import ConfigError
+from monotrack.exceptions import ConfigError, DepthNonPositive, ParseError
 from monotrack.filters import GaussianEstimate, kf_predict, kf_update, ukf_predict
-from monotrack.metrics import TrialStack
+from monotrack.metrics import TrialStack, pack, unpack
 from monotrack.models import measurement_noise
 from monotrack.pipeline import (
     FILTER_NAMES,
@@ -86,7 +88,7 @@ def real_run(track, bundle, name):
 
 def estimate_at(stack: TrialStack, k: int, trial: int = 0) -> GaussianEstimate:
     """One trial's estimate at row k of a stack."""
-    return GaussianEstimate(stack.means[trial, k], stack.covs[trial, k])
+    return GaussianEstimate(*unpack(stack.values[trial, k]))
 
 
 def test_run_filter_rejects_unknown_name(synthetic_sequence, synthetic_bundle):
@@ -111,8 +113,8 @@ def test_run_filter_covers_every_frame(synthetic_sequence, synthetic_bundle, nam
     assert run.failure is None
     assert run.native.frames == track.frames
     assert run.ends.tolist() == [len(track.frames)]
-    assert run.native.means.shape[:2] == run.boxes.means.shape[:2]
-    assert run.native.means.shape[:2] == (1, len(track.frames))
+    assert run.native.values.shape[:2] == run.boxes.values.shape[:2]
+    assert run.native.values.shape[:2] == (1, len(track.frames))
 
 
 def test_dropped_frames_are_pure_predictions(synthetic_sequence, synthetic_bundle):
@@ -125,11 +127,13 @@ def test_dropped_frames_are_pure_predictions(synthetic_sequence, synthetic_bundl
     m2, m3 = synthetic_bundle.model2d, synthetic_bundle.model3d
     for k in dropped:
         expected = kf_predict(estimate_at(run2d.native, k - 1), m2.F, m2.Q)
-        assert run2d.native.means[0, k] == pytest.approx(expected.mean, rel=1e-15)
-        assert run2d.native.covs[0, k] == pytest.approx(expected.cov, rel=1e-15)
+        stored = estimate_at(run2d.native, k)
+        assert stored.mean == pytest.approx(expected.mean, rel=1e-15)
+        assert stored.cov == pytest.approx(expected.cov, rel=1e-15)
         expected = ukf_predict(estimate_at(run3d.native, k - 1), m3)
-        assert run3d.native.means[0, k] == pytest.approx(expected.mean, rel=1e-15)
-        assert run3d.native.covs[0, k] == pytest.approx(expected.cov, rel=1e-15)
+        stored = estimate_at(run3d.native, k)
+        assert stored.mean == pytest.approx(expected.mean, rel=1e-15)
+        assert stored.cov == pytest.approx(expected.cov, rel=1e-15)
 
 
 def test_annotation_gaps_advance_by_one_step_per_frame():
@@ -145,8 +149,9 @@ def test_annotation_gaps_advance_by_one_step_per_frame():
     for _ in range(3):
         expected = kf_predict(expected, m2.F, m2.Q)
     expected = kf_update(expected, z[0, 2], m2.H, m2.R)
-    assert run.native.means[0, 2] == pytest.approx(expected.mean, rel=1e-15)
-    assert run.native.covs[0, 2] == pytest.approx(expected.cov, rel=1e-15)
+    stored = estimate_at(run.native, 2)
+    assert stored.mean == pytest.approx(expected.mean, rel=1e-15)
+    assert stored.cov == pytest.approx(expected.cov, rel=1e-15)
 
 
 def test_init_failure_stops_track_and_is_counted(tmp_path, synthetic_bundle):
@@ -441,8 +446,90 @@ def test_estimates_csv_round_trips_exactly(
     assert space == "3d"
     assert stack.frames == run.native.frames
     assert np.array_equal(stack.ends, run.ends)
-    assert np.array_equal(stack.means, run.native.means)
-    assert np.array_equal(stack.covs, run.native.covs)
+    assert np.array_equal(stack.values, run.native.values)
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_estimates_files_read_back_as_the_pass_stack(monkeypatch, tmp_path, name):
+    # Three trials on a 12-frame track: trial 1's first box has a negative
+    # height, so it stops at initialization and writes no row; trial 2's
+    # frame-5 detection is refused by the patched update, so it stops
+    # there.  Each estimates file reads back as the pass's packed rows,
+    # bit for bit, for the trials with rows.
+    update = {"kf2d": "kf_update", "bot": "bot_update", "ukf3d": "ukf_update"}[name]
+    original = getattr(pipeline, update)
+
+    def refusing(est, z, *args):
+        if (z[..., 1] > 5000.0).any():
+            raise DepthNonPositive("past the y limit")
+        return original(est, z, *args)
+
+    monkeypatch.setattr(pipeline, update, refusing)
+    boxes = [BoundingBox(900.0 + 2.0 * k, 600.0 + k, 80.0, 160.0 + k) for k in range(12)]
+    track = TrackSequence(1, list(range(12)), boxes)
+    z = np.array([[box.as_vector() + 0.5 * t for box in boxes] for t in range(3)])
+    z[1, 0, 3] = -5.0
+    z[2, 5, 1] = 9000.0
+    detections = (list(range(12)), z)
+    bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
+    run_track([track], [detections], bundle, (name,), 1.65, tmp_path, "SEQ")
+    (run,) = run_filter([track], [detections], bundle, name).runs
+    assert run.ends.tolist() == [12, 0, 5]
+    for space in {pipeline.FILTERS[name].space, "bb"}:
+        read_space, stack = read_estimates_csv(tmp_path / f"SEQ_id1_{name}_estimates_{space}.csv")
+        assert read_space == space and stack.frames == run.native.frames
+        assert stack.ends.tolist() == [12, 5]
+        for row, (trial, end) in enumerate([(0, 12), (2, 5)]):
+            want = run.estimates(space).values[trial, :end]
+            assert stack.values[row, :end].tobytes() == want.tobytes()
+
+
+def test_run_track_memory_stays_near_the_packed_store(tmp_path):
+    # One group of M = 40 trials on a 600-frame track: the traced peak of
+    # running, scoring and writing a pass stays within a measured margin
+    # of the pass's packed rows (native 8-state and box rows, 58 doubles
+    # per row).  A full-matrix store alone (92 doubles per row) would
+    # exceed it.
+    m, k = 40, 600
+    boxes = truth_boxes(synthetic_truth(n_frames=k))
+    track = TrackSequence(1, list(range(k)), [BoundingBox(*box) for box in boxes])
+    bundle = build_bundle(IMAGE_SIZE, FRAME_RATE)
+    z = simulate_detections(track, SimConfig(m, 5, bundle.model2d.R, (True,) * k))
+    store_bytes = m * k * (8 + 36 + 4 + 10) * 8
+    tracemalloc.start()
+    try:
+        (result,) = run_track(
+            [track], [(list(range(k)), z)], bundle, ("kf2d",), 1.65, tmp_path, "MEM"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_failures == 0
+    assert peak < store_bytes + 3_000_000 < m * k * 92 * 8
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda fields: fields.__setitem__(3, "3d"), "space '3d' in a bb file"),
+        (lambda fields: fields.__setitem__(6, "nan"), "not a finite number: 'nan'"),
+    ],
+)
+def test_estimates_reader_names_physical_lines(tmp_path, edit, message):
+    # Two blank lines follow the header, so the third data row sits on
+    # physical line 6.
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0, 1, 2], [box] * 3)
+    values = pack(np.full((1, 3, 4), 5.0), np.broadcast_to(np.eye(4), (1, 3, 4, 4)))
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, TrialStack([0, 1, 2], values, np.array([3])), "bb")
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    fields = rows[2].split(",")
+    edit(fields)
+    rows[2] = ",".join(fields)
+    path.write_text("\n".join([header, "", "  "] + rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 6: {re.escape(message)}"):
+        read_estimates_csv(path)
 
 
 def test_estimates_csv_round_trips_awkward_values(tmp_path):
@@ -467,8 +554,7 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
     # trial 2 after its first row (which holds the second row's values).
     stack = TrialStack(
         [0, 3],
-        np.stack([means, means, means[::-1]]),
-        np.stack([covs, covs, covs[::-1]]),
+        pack(np.stack([means, means, means[::-1]]), np.stack([covs, covs, covs[::-1]])),
         np.array([2, 0, 1]),
     )
     box = BoundingBox(900.0, 600.0, 80.0, 160.0)
@@ -483,13 +569,9 @@ def test_estimates_csv_round_trips_awkward_values(tmp_path):
     assert read.frames == [0, 3] and read.ends.tolist() == [2, 1]
     expected = [[0, 1], [1]]
     for trial, indices in enumerate(expected):
-        rows = len(indices)
-        assert read.means[trial, :rows].tobytes() == np.stack(
-            [means[i] for i in indices]
-        ).tobytes()
-        assert read.covs[trial, :rows].tobytes() == np.stack(
-            [covs[i] for i in indices]
-        ).tobytes()
+        read_means, read_covs = unpack(read.values[trial, : len(indices)])
+        assert read_means.tobytes() == np.stack([means[i] for i in indices]).tobytes()
+        assert read_covs.tobytes() == np.stack([covs[i] for i in indices]).tobytes()
 
 
 def test_outputs_are_deterministic(tmp_path, synthetic_sequence, synthetic_bundle):
