@@ -66,8 +66,8 @@ def anees(
 
     Like ``rmse``, a (K, n) truth with (K, M, n) means and (K, M, n, n)
     covariances gives the K per-frame values.  A singular covariance, or
-    a negative value (a covariance that is not positive definite), raises
-    ``SingularCovariance``.
+    a negative value or trial NEES (a covariance that is not positive
+    definite), raises ``SingularCovariance``.
     """
     truth = np.asarray(truth, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -90,10 +90,12 @@ def anees(
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("a reported covariance is singular") from exc
     # One sum over each frame's M n products, as a whole-array sum of a
-    # single frame would take it.
-    products = (errors * solved).reshape(*lead, m * n)
-    values = np.sum(products, axis=-1) / (m * n)
-    if np.any(values < 0):
+    # single frame would take it; each trial's own sum (its NEES) only
+    # checks the sign.
+    products = errors * solved
+    values = np.sum(products.reshape(*lead, m * n), axis=-1) / (m * n)
+    trials = products.sum(axis=-1)
+    if np.any(values < 0) or np.any(trials < 0):
         raise SingularCovariance(
             "a reported covariance is not positive definite: "
             "the normalized error squared is negative"

@@ -56,11 +56,17 @@ reader fills a stack with the rows it parses.
 A run's memory is bounded by one pass: its stored rows, n + n (n + 1) / 2
 native and 14 box doubles each (58 for an 8-state filter), and its
 per-frame detections and schedule.  Scoring gathers a bounded block of
-rows at a time, and the writer holds one row's text.
+rows at a time, and the writer holds one row's text.  ``evaluate`` holds
+one packed copy of a file's numbers: the reader parses them into the
+buffer that becomes the stack when the file's trials come in order and
+all ran to the end (about 75 MB for the ``3d`` file of the 200-trial
+headline run, which itself peaks at about 102 MB).  Any other file is
+copied once more, into a padded stack.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -574,10 +580,21 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
     as a run writes them.  Every value must be finite and every row's
     covariance valid for a ``GaussianEstimate``, as a run writes them.
     Blank lines are skipped, and an error names its physical line.
+
+    The parsed numbers are held once.  When the trials come in ascending
+    order, one trial's rows after another's, and every trial is as long
+    as the longest, as ``run`` writes a file whose trials all ran to the
+    end, the parse buffer itself becomes the stack's values.  Any other
+    order, or a trial that stopped early, costs one padded copy, made
+    from the buffer.  At its peak the reader holds the parsed numbers
+    (or them and their padded copy), three integers per row and one
+    trial's unpacked covariances.
     """
-    frames: list[int] = []
-    line_numbers = array("q")
-    by_trial: dict[int, list[int]] = {}
+    # Per row: its trial's and frame's index in order of first appearance
+    # (the dicts map any int read to its index) and its physical line.
+    trials, frames, line_numbers = array("q"), array("q"), array("q")
+    trial_index: dict[int, int] = {}
+    frame_index: dict[int, int] = {}
     values = array("d")
     with open(path, "r", encoding="utf-8") as handle:
         numbered = enumerate(map(str.strip, text_lines(handle, path)), start=1)
@@ -601,30 +618,58 @@ def read_estimates_csv(path: Path) -> tuple[str, TrialStack]:
                 values.extend(map(float, fields[4:]))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc), path) from exc
-            by_trial.setdefault(trial, []).append(len(frames))
-            frames.append(k)
+            trials.append(trial_index.setdefault(trial, len(trial_index)))
+            frames.append(frame_index.setdefault(k, len(frame_index)))
             line_numbers.append(lineno)
-    table = np.frombuffer(values, dtype=float).reshape(len(frames), width - 4)
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
+    rows, width = len(trials), width - 4
+    table = np.frombuffer(values, dtype=float).reshape(rows, width)
+    # A finite sum has finite terms; only a sum that is not (an overflow
+    # or a non-finite value) needs the full test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = table.sum()
+    if not math.isfinite(total) and not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
         raise ParseError(
             line_numbers[row], f"not a finite number: {str(table[row, col])!r}", path
         )
-    by_trial = dict(sorted(by_trial.items()))
-    trial_rows = list(by_trial.values())
-    longest = [frames[r] for r in max(trial_rows, key=len, default=[])]
-    if any([frames[r] for r in rows] != longest[: len(rows)] for rows in trial_rows):
-        raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
-    stacked = np.zeros((len(trial_rows), len(longest), width - 4))
-    for t, (trial, rows) in enumerate(by_trial.items()):
-        stacked[t, : len(rows)] = table[rows]
-        try:
-            GaussianEstimate(*unpack(stacked[t, : len(rows)]))
-        except InvalidEstimate as exc:
-            raise ParseError(None, f"trial {trial}: {exc}", path) from exc
-    ends = np.array([len(rows) for rows in trial_rows], dtype=int)
-    return space, TrialStack(longest, stacked, ends)
+    ids = sorted(trial_index)
+    m = len(ids)
+    k = rows // m if m else 0
+    # A file as a run writes it when every trial ran to its end: the
+    # trials in ascending order, one after another, each with the first
+    # one's frames.  Its buffer is the stack.  (The check compares array
+    # slices: on a small file they add less to the peak than the numpy
+    # calls of the other case.)
+    if m * k == rows and ids == list(trial_index) and all(
+        trials[t * k : (t + 1) * k] == array("q", [t]) * k
+        and frames[t * k : (t + 1) * k] == frames[:k]
+        for t in range(m)
+    ):
+        stacked, ends, longest = table.reshape(m, k, width), np.full(m, k), frames[:k]
+    else:
+        # Each row's trial, as its rank among the trial ids; a stable sort
+        # groups the rows by trial, each trial's in file order.
+        rank = np.empty(m, dtype=np.int64)
+        rank[[trial_index[trial] for trial in ids]] = np.arange(m)
+        trial_of = rank[np.frombuffer(trials, dtype=np.int64)]
+        ends = np.bincount(trial_of, minlength=m)
+        groups = np.split(np.argsort(trial_of, kind="stable"), np.cumsum(ends)[:-1])
+        frame_of = np.frombuffer(frames, dtype=np.int64)
+        longest = frame_of[max(groups, key=len)]
+        if any((frame_of[group] != longest[: group.size]).any() for group in groups):
+            raise ParseError(None, "a trial's frames do not begin the longest trial's", path)
+        stacked = np.zeros((m, longest.size, width))
+        for t, group in enumerate(groups):
+            stacked[t, : group.size] = table[group]
+    # Finite values may overflow the validation's sums too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (trial, end) in enumerate(zip(ids, ends.tolist())):
+            try:
+                GaussianEstimate(*unpack(stacked[t, :end]))
+            except InvalidEstimate as exc:
+                raise ParseError(None, f"trial {trial}: {exc}", path) from exc
+    frame_ids = list(frame_index)
+    return space, TrialStack([frame_ids[i] for i in longest], stacked, ends)
 
 
 def write_metrics_csv(

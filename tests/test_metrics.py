@@ -366,6 +366,18 @@ def test_anees_rejects_a_negative_value():
         anees(np.zeros(2), np.array([[1.0, 1.0]]), cov[None])
 
 
+def test_anees_rejects_a_negative_trial():
+    # Trial 0's NEES is 1/4 - 1e-8/4e-12 = -2499.75, trial 1's 10000: the
+    # frame's average is positive (1875.06), yet one trial's covariance
+    # is not positive definite.
+    covs = np.stack([np.diag([4.0, -4e-12]), np.eye(2)])
+    means = np.array([[1.0, 1e-4], [100.0, 0.0]])
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        anees(np.zeros(2), means, covs)
+    with pytest.raises(SingularCovariance, match="not positive definite"):
+        anees(np.zeros((1, 2)), means[None], covs[None])
+
+
 def test_batched_metrics_reject_mismatch():
     with pytest.raises(DimensionMismatch):
         rmse(np.zeros((3, 2)), np.zeros((2, 1, 2)))

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 from time import perf_counter
 
@@ -513,6 +514,7 @@ def test_run_track_memory_stays_near_the_packed_store(tmp_path):
     [
         (lambda fields: fields.__setitem__(3, "3d"), "space '3d' in a bb file"),
         (lambda fields: fields.__setitem__(6, "nan"), "not a finite number: 'nan'"),
+        (lambda fields: fields.__setitem__(6, "-1e999"), "not a finite number: '-inf'"),
     ],
 )
 def test_estimates_reader_names_physical_lines(tmp_path, edit, message):
@@ -530,6 +532,113 @@ def test_estimates_reader_names_physical_lines(tmp_path, edit, message):
     path.write_text("\n".join([header, "", "  "] + rows) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 6: {re.escape(message)}"):
         read_estimates_csv(path)
+
+
+def test_estimates_reader_keeps_finite_values_whose_sum_overflows(tmp_path):
+    # Means of 1.5e308 and 1.5e308 are finite, but their sum is not, and
+    # with the next row's -1.5e308 and -1.5e308 a sum can be nan: the
+    # reader's finite-sum test must fall back to the full one, keep the
+    # values and warn of nothing (the suite turns warnings into errors).
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0, 1], [box] * 2)
+    means = np.array([[[1.5e308, 1.5e308, 0.0, 1.0], [-1.5e308, -1.5e308, 0.0, 1.0]]])
+    values = pack(means, np.broadcast_to(np.eye(4), (1, 2, 4, 4)))
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, TrialStack([0, 1], values, np.array([2])), "bb")
+    space, stack = read_estimates_csv(path)
+    assert space == "bb" and stack.ends.tolist() == [2]
+    assert stack.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("ends", [[6, 6, 6, 6], [6, 6, 2, 6]], ids=["full", "stopped"])
+def test_estimates_reader_takes_any_row_order(tmp_path, ends):
+    # The same rows as a run writes them, with the trials in descending
+    # order, and also with trials 2 and 1 interleaved and a blank line,
+    # read back to the same stack, bit for bit.  In "stopped", trial 2
+    # stopped after its second row.
+    k = 6
+    means = np.random.default_rng(3).normal(size=(4, k, 4)) * 100.0
+    covs = np.broadcast_to(np.diag([2.0, 3.0, 4.0, 5.0]), (4, k, 4, 4))
+    stack = TrialStack(list(range(k)), pack(means, covs), np.array(ends))
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, list(range(k)), [box] * k, first_frame=3)
+    in_order = tmp_path / "in_order.csv"
+    write_estimates_csv(in_order, track, stack, "bb")
+    header, *lines = in_order.read_text(encoding="utf-8").splitlines()
+    by_trial = [[line for line in lines if line.startswith(f"{t},")] for t in range(4)]
+    interleaved = [line for pair in zip_longest(by_trial[2], by_trial[1]) for line in pair if line]
+    orders = [
+        [*by_trial[3], *by_trial[2], *by_trial[1], *by_trial[0]],
+        [*by_trial[3], "", *interleaved, *by_trial[0]],
+    ]
+    want_space, want = read_estimates_csv(in_order)
+    for order in orders:
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *order]) + "\n", encoding="utf-8")
+        space, got = read_estimates_csv(shuffled)
+        assert space == want_space == "bb"
+        assert got.frames == want.frames == list(range(k))
+        assert got.ends.tolist() == want.ends.tolist() == ends
+        assert got.values.tobytes() == want.values.tobytes()
+    for trial, end in enumerate(ends):
+        assert want.values[trial, :end].tobytes() == stack.values[trial, :end].tobytes()
+
+
+def test_estimates_reader_groups_interleaved_rows_by_trial(tmp_path):
+    # Trials 0 and 1 interleaved row by row, in ascending order of first
+    # appearance, each row labelled frame 0 (the reader does not ask for
+    # distinct frames): every row still goes to its own trial.
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0], [box])
+    values = pack(np.arange(16.0).reshape(2, 2, 4), np.broadcast_to(np.eye(4), (2, 2, 4, 4)))
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, TrialStack([0, 0], values, np.array([2, 2])), "bb")
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, rows[0], rows[2], rows[1], rows[3]]) + "\n", encoding="utf-8")
+    space, stack = read_estimates_csv(path)
+    assert stack.frames == [0, 0] and stack.ends.tolist() == [2, 2]
+    assert stack.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("ends", [[3, 3], [3, 2]], ids=["full", "stopped"])
+def test_estimates_reader_rejects_frames_off_the_longest_trial(tmp_path, ends):
+    # Trial 1's last row is relabelled frame 5, so its frames do not
+    # begin trial 0's, whether or not it ran to the end.
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, [0, 1, 2], [box] * 3)
+    values = pack(np.full((2, 3, 4), 5.0), np.broadcast_to(np.eye(4), (2, 3, 4, 4)))
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, TrialStack([0, 1, 2], values, np.array(ends)), "bb")
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    fields = rows[-1].split(",")
+    fields[1] = "5"
+    rows[-1] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="a trial's frames do not begin the longest trial's"):
+        read_estimates_csv(path)
+
+
+def test_estimates_reader_memory_stays_near_one_stack(tmp_path):
+    # A 40-trial, 600-frame 3d file as a run writes it: reading it back
+    # holds its numbers once, so the traced peak stays near the stack's
+    # bytes (about 1.18 times them; two copies would be above 2).
+    m, k = 40, 600
+    rng = np.random.default_rng(11)
+    spread = rng.normal(size=(m, k, 8, 8)) * 0.1
+    covs = spread @ spread.swapaxes(-1, -2) + np.eye(8)
+    values = pack(rng.normal(size=(m, k, 8)), (covs + covs.swapaxes(-1, -2)) / 2)
+    box = BoundingBox(900.0, 600.0, 80.0, 160.0)
+    track = TrackSequence(1, list(range(k)), [box] * k)
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, track, TrialStack(list(range(k)), values, np.full(m, k)), "3d")
+    tracemalloc.start()
+    try:
+        space, stack = read_estimates_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space == "3d" and stack.values.tobytes() == values.tobytes()
+    assert peak < 1.3 * values.nbytes
 
 
 def test_estimates_csv_round_trips_awkward_values(tmp_path):
